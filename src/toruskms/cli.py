@@ -49,6 +49,7 @@ from .subinvariance import (
     nu_from_mu,
 )
 from .suites import (
+    ORACLE_TOL,
     SUITES,
     SuiteConfig,
     overall_pass,
@@ -60,8 +61,6 @@ from .suites import (
 )
 from .toeplitz_algebra import AlgebraElement, parse_word, state_eval
 from .torus_measure import write_moment_csv
-
-ORACLE_TOL = 1e-6
 
 TRANSFORMS = ("nu-from-mu", "mu-from-nu", "nu-from-kappa", "kappa-from-nu")
 

@@ -119,6 +119,10 @@ class LevelData:
     def violations(self, prefix: str = "") -> List[str]:
         """Static validity violations of this single level."""
         out = []
+        if not np.all(np.isfinite(self.theta)):
+            out.append(f"{prefix}theta has a non-finite entry: {self.theta.tolist()}")
+        if not np.all(np.isfinite(self.r)):
+            out.append(f"{prefix}r has a non-finite entry: {self.r.tolist()}")
         if np.any(self.D < 2):
             out.append(f"{prefix}D has a diagonal entry < 2: {self.D.tolist()}")
         if self.det_E() < 2:
@@ -201,13 +205,14 @@ def derive_levels(theta1, r1, D_seq: Sequence, E_seq: Sequence) -> Tuple[LevelDa
 def validate_scenario(scenario: Scenario, tol: float = RELATION_TOL) -> List[str]:
     """Collect every violation of the scenario contract; never raises.
 
-    Returns an empty list exactly when the scenario is valid: positive beta,
-    per-level static constraints, and the two exact relations between
-    consecutive levels to within tol (absolute, real arithmetic).
+    Returns an empty list exactly when the scenario is valid: finite positive
+    beta, per-level static constraints, and the two exact relations between
+    consecutive levels to within tol (absolute, real arithmetic).  A NaN
+    relation defect is a violation.
     """
     report: List[str] = []
-    if not scenario.beta > 0:
-        report.append(f"beta = {scenario.beta} is not positive")
+    if not 0 < scenario.beta < np.inf:
+        report.append(f"beta = {scenario.beta} is not finite and positive")
     for m, lvl in enumerate(scenario.levels, start=1):
         report.extend(lvl.violations(prefix=f"level {m}: "))
     for m in range(1, scenario.depth):
@@ -215,13 +220,13 @@ def validate_scenario(scenario: Scenario, tol: float = RELATION_TOL) -> List[str
         hi = scenario.levels[m]
         lhs = lo.D[:, None].astype(float) * (hi.theta @ lo.E.astype(float))
         theta_defect = float(np.max(np.abs(lhs - lo.theta)))
-        if theta_defect > tol:
+        if not theta_defect <= tol:
             report.append(
                 f"levels {m}->{m + 1}: D_m theta_(m+1) E_m differs from theta_m "
                 f"by {theta_defect:.3e} (> {tol})"
             )
         r_defect = float(np.max(np.abs(lo.D.astype(float) * hi.r - lo.r)))
-        if r_defect > tol:
+        if not r_defect <= tol:
             report.append(
                 f"levels {m}->{m + 1}: D_m r^(m+1) differs from r^m by {r_defect:.3e} (> {tol})"
             )

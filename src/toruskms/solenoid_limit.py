@@ -40,6 +40,7 @@ from .torus_measure import (
     MultipliedMeasure,
     TorusMeasure,
     UniformMeasure,
+    index_box,
     pushforward_dual,
     reduce_mod_1,
 )
@@ -244,23 +245,20 @@ def validate_thread(
 
     Checks each level's mass and the compatibility relation
     moment(mu_m, n) = moment(mu_(m+1), E_m n) on the box |n_i| <= radius.
+    A non-finite mass or defect is a violation.
     """
     report: List[str] = []
     scen = thread.scenario
-    d = scen.dims.d
     for m in range(1, scen.depth + 1):
         mass = thread.measure(m).total_mass()
-        if abs(mass - 1.0) > 1e-10:
+        if not abs(mass - 1.0) <= 1e-10:
             report.append(f"level {m}: mass {mass:.12g} differs from 1")
-    box = list(np.ndindex((2 * moment_radius + 1,) * d))
+    box = index_box(scen.dims.d, moment_radius)
     for m in range(1, scen.depth):
         E = scen.level(m).E
-        worst = 0.0
-        for idx in box:
-            n = np.asarray(idx, dtype=np.int64) - moment_radius
-            gap = abs(thread.measure(m).moment(n) - thread.measure(m + 1).moment(E @ n))
-            worst = max(worst, gap)
-        if worst > tol:
+        gaps = thread.measure(m).moments(box) - thread.measure(m + 1).moments(box @ E.T)
+        worst = float(np.max(np.abs(gaps)))
+        if not worst <= tol:
             report.append(
                 f"levels {m}->{m + 1}: compatibility defect {worst:.3e} on |n_i| <= "
                 f"{moment_radius} (> {tol})"
@@ -280,7 +278,7 @@ def sigma_map(nu_next: TorusMeasure, scenario: Scenario, m: int) -> TorusMeasure
     lvl = scenario.level(m)
     det_d = float(lvl.det_D())
     pushed = pushforward_dual(nu_next, lvl.E)
-    return MultipliedMeasure(pushed, lambda n, c=det_d: 1.0 / c, tag=f"sigma_{m}")
+    return MultipliedMeasure(pushed, lambda N, c=det_d: 1.0 / c, tag=f"sigma_{m}")
 
 
 def normalized_nu(thread: SolenoidMeasureThread, m: int) -> TorusMeasure:
@@ -288,7 +286,7 @@ def normalized_nu(thread: SolenoidMeasureThread, m: int) -> TorusMeasure:
     params = BlockParams.at_level(thread.scenario, m)
     nu = nu_from_mu(thread.measure(m), params, check=False)
     c_m = params.mass_factor()
-    return MultipliedMeasure(nu, lambda n, c=c_m: c, tag=f"normalize(c_{m})")
+    return MultipliedMeasure(nu, lambda N, c=c_m: c, tag=f"normalize(c_{m})")
 
 
 def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:

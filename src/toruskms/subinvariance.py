@@ -95,6 +95,8 @@ class BlockParams:
         beta = float(self.beta)
         if theta.shape[0] != r.shape[0]:
             raise ValueError("theta must have one row per entry of r")
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(r)) and np.isfinite(beta)):
+            raise ValueError("theta, r and beta must be finite")
         if np.any(theta < 0):
             raise ValueError("theta entries must be nonnegative")
         if np.any(r <= 0) or not beta > 0:
@@ -120,8 +122,8 @@ class BlockParams:
         return self.theta.shape[1]
 
     def theta_dot(self, n) -> np.ndarray:
-        """The k-vector t(n) with t_j = (theta n)_j."""
-        return self.theta @ np.asarray(n, dtype=float)
+        """The k-vector t(n) with t_j = (theta n)_j; for a (B, d) batch, the (B, k) rows t(n_b)."""
+        return np.asarray(n, dtype=float) @ self.theta.T
 
     def mass_factor(self) -> float:
         """prod_j beta r_j, the mass ratio between mu and nu_from_mu(mu)."""
@@ -144,8 +146,8 @@ class DefectMeasure(MultipliedMeasure):
         self.description = description
 
 
-def _laplace_factors(params: BlockParams, n) -> np.ndarray:
-    return params.beta * params.r - TWO_PI_I * params.theta_dot(n)
+def _laplace_factors(params: BlockParams, N) -> np.ndarray:
+    return params.beta * params.r - TWO_PI_I * params.theta_dot(N)
 
 
 def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> MultipliedMeasure:
@@ -164,7 +166,7 @@ def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
         _require_nonnegative(mu)
     return MultipliedMeasure(
         mu,
-        lambda n, p=params: complex(np.prod(1.0 / _laplace_factors(p, n))),
+        lambda N, p=params: np.prod(1.0 / _laplace_factors(p, N), axis=1),
         tag="laplace-average(theta,r,beta)",
     )
 
@@ -183,13 +185,13 @@ def mu_from_nu(nu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
             raise NotSubinvariant("; ".join(failures[:3]))
     return MultipliedMeasure(
         nu,
-        lambda n, p=params: complex(np.prod(_laplace_factors(p, n))),
+        lambda N, p=params: np.prod(_laplace_factors(p, N), axis=1),
         tag="laplace-average-inverse(theta,r,beta)",
     )
 
 
-def _geometric_factors(params: BlockParams, n) -> np.ndarray:
-    return 1.0 - np.exp(-params.beta * params.r + TWO_PI_I * params.theta_dot(n))
+def _geometric_factors(params: BlockParams, N) -> np.ndarray:
+    return 1.0 - np.exp(-params.beta * params.r + TWO_PI_I * params.theta_dot(N))
 
 
 def nu_from_kappa(kappa: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
@@ -203,7 +205,7 @@ def nu_from_kappa(kappa: TorusMeasure, params: BlockParams) -> MultipliedMeasure
     _check_dims(kappa, params)
     return MultipliedMeasure(
         kappa,
-        lambda n, p=params: complex(np.prod(1.0 / _geometric_factors(p, n))),
+        lambda N, p=params: np.prod(1.0 / _geometric_factors(p, N), axis=1),
         tag="geometric-resolvent(theta,r,beta)",
     )
 
@@ -213,7 +215,7 @@ def kappa_from_nu(nu: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
     _check_dims(nu, params)
     return MultipliedMeasure(
         nu,
-        lambda n, p=params: complex(np.prod(_geometric_factors(p, n))),
+        lambda N, p=params: np.prod(_geometric_factors(p, N), axis=1),
         tag="geometric-resolvent-inverse(theta,r,beta)",
     )
 
@@ -229,9 +231,9 @@ def defect_measure_finite(
 
         sum over S subset of F of (-1)^|S| e^(-beta p_S.r) e^(2 pi i p_S.theta n),
 
-    with p_S the sum over S.  Every moment evaluation computes both forms and
-    raises ArithmeticError if they disagree beyond 1e-14; F = {} leaves nu
-    unchanged.
+    with p_S the sum over S.  Every moment batch computes both forms and
+    raises ArithmeticError if they disagree beyond 1e-14 (or are NaN) at any
+    index; F = {} leaves nu unchanged.
     """
     _check_dims(nu, params)
     fam: List[np.ndarray] = []
@@ -245,24 +247,24 @@ def defect_measure_finite(
         if np.any(np.minimum(a, b) > 0):
             raise MeetNotZero(f"steps {a.tolist()} and {b.tolist()} have nonzero meet")
 
-    def multiplier(n, fam=tuple(fam), p=params):
-        t = p.theta_dot(n)
-        product = 1.0 + 0j
+    def multiplier(N, fam=tuple(fam), p=params):
+        t = p.theta_dot(N)
+        product = np.ones(len(N), dtype=complex)
         for step in fam:
-            product *= 1.0 - np.exp(-p.beta * float(step @ p.r) + TWO_PI_I * float(step @ t))
-        incl_excl = 0j
+            product *= 1.0 - np.exp(-p.beta * float(step @ p.r) + TWO_PI_I * (t @ step))
+        incl_excl = np.zeros(len(N), dtype=complex)
         for size in range(len(fam) + 1):
             for subset in itertools.combinations(fam, size):
                 p_s = np.sum(subset, axis=0) if subset else np.zeros(p.k)
                 incl_excl += (-1.0) ** size * np.exp(
-                    -p.beta * float(p_s @ p.r) + TWO_PI_I * float(p_s @ t)
+                    -p.beta * float(p_s @ p.r) + TWO_PI_I * (t @ p_s)
                 )
-        if abs(product - incl_excl) > _EXPANSION_TOL:
+        diff = float(np.max(np.abs(product - incl_excl), initial=0.0))
+        if not diff <= _EXPANSION_TOL:
             raise ArithmeticError(
-                "finite defect expansions disagree: "
-                f"|{product} - {incl_excl}| > {_EXPANSION_TOL}"
+                f"finite defect expansions disagree by {diff} > {_EXPANSION_TOL}"
             )
-        return complex(product)
+        return product
 
     desc = f"finite-defect(F={[a.tolist() for a in fam]})"
     return DefectMeasure(nu, multiplier, desc)
@@ -299,10 +301,10 @@ def defect_measure_cts(
     s = s.copy()
     s.setflags(write=False)
 
-    def multiplier(n, s=s, axes_arr=axes_arr, p=params):
-        t = p.theta_dot(n)
+    def multiplier(N, s=s, axes_arr=axes_arr, p=params):
+        t = p.theta_dot(N)
         factors = 1.0 - np.exp(-p.beta * s * p.r + TWO_PI_I * s * t)
-        return complex(np.prod(factors[axes_arr])) if len(axes_arr) else 1.0 + 0j
+        return np.prod(factors[:, axes_arr], axis=1)
 
     desc = f"cts-defect(s={s.tolist()}" + (
         ")" if axes is None else f", axes={axes_arr.tolist()})"

@@ -12,6 +12,7 @@ rows sorted by check id.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from .toeplitz_algebra import (
     multiply,
     state_eval,
 )
-from .torus_measure import AtomicMeasure, MultipliedMeasure, positivity_test
+from .torus_measure import AtomicMeasure, MultipliedMeasure, index_box, positivity_test
 
 __all__ = [
     "SuiteConfig",
@@ -112,8 +113,11 @@ def _row(
     bound: float,
     status: Optional[str] = None,
 ) -> StateReport:
+    """A report row; it fails whenever a number in it is not finite."""
     if status is None:
         status = "pass" if residual <= bound else "fail"
+    if not all(np.isfinite(x) for x in (complex(value), complex(reference), residual, bound)):
+        status = "fail"
     return StateReport(
         check_id=check_id,
         level=int(level),
@@ -124,6 +128,16 @@ def _row(
         bound=float(bound),
         status=status,
     )
+
+
+def _worst(*residuals) -> float:
+    """Largest residual, NaN if any is NaN.
+
+    Every check reduces its residuals with this instead of the builtin max,
+    which drops a NaN that is not its first argument, so a NaN residual would
+    pass as the residual before it.
+    """
+    return float(np.max(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +175,6 @@ def _random_element(rng, k: int, d: int, level: int, terms: int = 2) -> AlgebraE
     return AlgebraElement(level, out)
 
 
-def _moment_box_indices(d: int, radius: int) -> List[np.ndarray]:
-    return [
-        np.asarray(idx, dtype=np.int64) - radius
-        for idx in np.ndindex((2 * radius + 1,) * d)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # C01: closed-form transforms against the quadrature oracle.
 
@@ -184,10 +191,10 @@ def _check_transform_oracle(scenario, thread, cfg, rng) -> List[StateReport]:
         params = _random_block(rng, d, k)
         mu = _random_atomic(rng, d)
         nu = nu_from_mu(mu, params)
-        for n in _moment_box_indices(d, 3):
+        for n in index_box(d, 3):
             closed = nu.moment(n)
             numeric = laplace_quadrature(mu, params, n)
-            worst = max(worst, abs(closed - numeric))
+            worst = _worst(worst, abs(closed - numeric))
             count += 1
     elapsed = time.perf_counter() - start
     # the row carries only the verdict, not the measured time: reports must be
@@ -228,11 +235,11 @@ def _check_mass_identities(scenario, thread, cfg, rng) -> List[StateReport]:
         params = _random_block(rng, d, k)
         mu = _random_atomic(rng, d)
         nu = nu_from_mu(mu, params)
-        worst_fwd = max(
+        worst_fwd = _worst(
             worst_fwd, abs(nu.total_mass() - mu.total_mass() / params.mass_factor())
         )
         back = mu_from_nu(nu, params, check=False)
-        worst_bwd = max(
+        worst_bwd = _worst(
             worst_bwd, abs(back.total_mass() - nu.total_mass() * params.mass_factor())
         )
     rows.append(
@@ -298,7 +305,7 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
         samples = min(20, (2 * cfg.moment_box + 1) ** d)
         for _ in range(samples):
             n = rng.integers(-cfg.moment_box, cfg.moment_box + 1, size=d)
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(mu_back.moment(n) - mu.moment(n)),
                 abs(nu_back.moment(n) - nu.moment(n)),
@@ -323,8 +330,8 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
         nu = nu_from_mu(mu_m, params, check=False)
         back = mu_from_nu(nu, params, check=False)
         level_worst = 0.0
-        for n in _moment_box_indices(scenario.dims.d, min(cfg.moment_box, 3)):
-            level_worst = max(level_worst, abs(back.moment(n) - mu_m.moment(n)))
+        for n in index_box(scenario.dims.d, min(cfg.moment_box, 3)):
+            level_worst = _worst(level_worst, abs(back.moment(n) - mu_m.moment(n)))
         rows.append(
             _row(
                 "C03",
@@ -359,13 +366,15 @@ def _subinv_lattice_points(scenario: Scenario, m: int, p_max: int = 2) -> List[n
 
 
 def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
+    certify = functools.partial(positivity_test, tol=POSITIVITY_TOL, moment_radius=cfg.moment_box)
     rows = []
     for m in range(1, scenario.depth + 1):
         params = BlockParams.at_level(scenario, m)
         mu_m = thread.measure(m)
         nu = nu_from_mu(mu_m, params, check=False)
-        verdict = positivity_test(nu, tol=POSITIVITY_TOL, moment_radius=cfg.moment_box)
-        floor = min(verdict.min_density, verdict.min_eigenvalue)
+        verdict = certify(nu)
+        # the certificate's violation is the negated floor min(density, spectrum)
+        violation = _worst(-verdict.min_density, -verdict.min_eigenvalue)
         rows.append(
             _row(
                 "C04",
@@ -373,36 +382,31 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
                 "nu_mu positivity certificate (min of Fejer density, moment matrix spectrum)"
                 if verdict.is_positive
                 else f"nu_mu positivity certificate: {verdict.describe()}",
-                floor,
+                -violation,
                 0.0,
-                max(0.0, -floor),
+                _worst(0.0, violation),
                 POSITIVITY_TOL,
             )
         )
         s_max = 5.0 / (scenario.beta * float(np.min(params.r)))
         s_points = [rng.uniform(0.0, s_max, scenario.dims.k) for _ in range(cfg.s_samples)]
         s_points.extend(_subinv_lattice_points(scenario, m))
-        defect_floor = np.inf
-        witness = ""
-        for s in s_points:
-            defect = defect_measure_cts(nu, s, params)
-            v = positivity_test(defect, tol=POSITIVITY_TOL, moment_radius=cfg.moment_box)
-            floor_s = min(v.min_density, v.min_eigenvalue)
-            if floor_s < defect_floor:
-                defect_floor = floor_s
-                if not v.is_positive:
-                    witness = f" worst s={np.round(s, 4).tolist()}: {v.describe()}"
+        quantity = (
+            f"defect positivity over {cfg.s_samples} sampled s + "
+            f"{len(s_points) - cfg.s_samples} lattice points"
+        )
+        if not s_points:
+            rows.append(_row("C04", m, quantity, 0.0, 0.0, 0.0, POSITIVITY_TOL, status="skip"))
+            continue
+        verdicts = [certify(defect_measure_cts(nu, s, params)) for s in s_points]
+        violations = [_worst(-v.min_density, -v.min_eigenvalue) for v in verdicts]
+        worst = int(np.argmax(violations))  # the first worst s, or the first NaN
+        if not verdicts[worst].is_positive:
+            quantity += f" worst s={np.round(s_points[worst], 4).tolist()}: "
+            quantity += verdicts[worst].describe()
+        violation = _worst(*violations)
         rows.append(
-            _row(
-                "C04",
-                m,
-                f"defect positivity over {cfg.s_samples} sampled s + "
-                f"{len(s_points) - cfg.s_samples} lattice points{witness}",
-                defect_floor,
-                0.0,
-                max(0.0, -float(defect_floor)),
-                POSITIVITY_TOL,
-            )
+            _row("C04", m, quantity, -violation, 0.0, _worst(0.0, violation), POSITIVITY_TOL)
         )
     return rows
 
@@ -421,13 +425,13 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
         # vanish, so the identity is exercised away from 0 = 0
         nu_rand = nu_from_mu(_random_atomic(rng, d), params, check=False)
         c_m = params.mass_factor()
-        nu_rand = MultipliedMeasure(nu_rand, lambda n, c=c_m: c, tag="normalize")
+        nu_rand = MultipliedMeasure(nu_rand, lambda N, c=c_m: c, tag="normalize")
         worst = 0.0
         for i in range(cfg.samples):
             a = AlgebraElement.from_word(_random_word(rng, k, d, m))
             b = AlgebraElement.from_word(_random_word(rng, k, d, m))
             state = nu_m if i % 2 == 0 else nu_rand
-            worst = max(worst, kms_residual(state, params, a, b))
+            worst = _worst(worst, kms_residual(state, params, a, b))
         rows.append(
             _row(
                 "C05",
@@ -462,14 +466,14 @@ def _check_fock_agreement(scenario, thread, cfg, rng) -> List[StateReport]:
         # the tail bound is attained at n = 0, so float rounding on either
         # route can land a hair past it; allow rounding slack
         bound = fock_tail_bound(params, abs(kappa.total_mass()), trunc) * (1 + 1e-9) + 1e-14
-        worst_tail = max(worst_tail, bound)
+        worst_tail = _worst(worst_tail, bound)
         worst = 0.0
         for j in range(words_per):
             w = _random_word(rng, k, d, 1, diagonal=(j % 2 == 0))
             a = AlgebraElement.from_word(w)
             closed = state_eval(nu, params, a)
             numeric = fock_state_eval(kappa, params, a, trunc)
-            worst = max(worst, abs(closed - numeric))
+            worst = _worst(worst, abs(closed - numeric))
         rows.append(
             _row(
                 "C06",
@@ -507,7 +511,7 @@ def _check_level_consistency(scenario, thread, cfg, rng) -> List[StateReport]:
         worst = 0.0
         for _ in range(cfg.samples):
             w = _random_word(rng, k, d, m, diagonal=bool(rng.integers(0, 2)))
-            worst = max(worst, consistency_residual(thread, w))
+            worst = _worst(worst, consistency_residual(thread, w))
         rows.append(
             _row(
                 "C07",
@@ -548,7 +552,7 @@ def _check_reconciliation(scenario, thread, cfg, rng) -> List[StateReport]:
         beta = float(rng.uniform(0.3, 2.0))
         n = int(rng.integers(-5, 6))
         a_value, b_value = bhs_reconciliation(y, theta, r, beta, n)
-        worst = max(worst, abs(a_value - b_value))
+        worst = _worst(worst, abs(a_value - b_value))
     return [
         _row(
             "C08",
@@ -582,7 +586,7 @@ def _check_geometric_inverse(scenario, thread, cfg, rng) -> List[StateReport]:
         for _ in range(10):
             n = rng.integers(-cfg.moment_box, cfg.moment_box + 1, size=d)
             recovered = truncated_inverse_moment(kappa, params, n, box)
-            worst = max(worst, abs(recovered - nu.moment(n)))
+            worst = _worst(worst, abs(recovered - nu.moment(n)))
         rows.append(
             _row(
                 "C09",
@@ -635,7 +639,7 @@ def _check_limit_convergence(scenario, thread, cfg, rng) -> List[StateReport]:
                 "scaled defects",
                 slope,
                 1.0,
-                max(0.0, 0.9 - slope),
+                _worst(0.0, 0.9 - slope),
                 0.0 if slope >= 0.9 else -1.0,
                 status="pass" if slope >= 0.9 else "fail",
             )
@@ -653,7 +657,7 @@ def _check_limit_convergence(scenario, thread, cfg, rng) -> List[StateReport]:
                 "from below",
                 zero_values[-1],
                 mass_bound,
-                max(0.0, float(np.max(zero_values)) - mass_bound),
+                _worst(0.0, float(np.max(zero_values)) - mass_bound),
                 CLOSED_FORM_TOL,
                 status="pass" if (monotone and below) else "fail",
             )
@@ -677,18 +681,18 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         c = _random_element(rng, k, d, m)
         left = multiply(multiply(a, b, theta), c, theta)
         right = multiply(a, multiply(b, c, theta), theta)
-        worst = max(worst, left.sup_coefficient_distance(right))
+        worst = _worst(worst, left.sup_coefficient_distance(right))
         inv_l = adjoint(multiply(a, b, theta))
         inv_r = multiply(adjoint(b), adjoint(a), theta)
-        worst = max(worst, inv_l.sup_coefficient_distance(inv_r))
+        worst = _worst(worst, inv_l.sup_coefficient_distance(inv_r))
         t1 = float(rng.uniform(-2.0, 2.0))
         t2 = float(rng.uniform(-2.0, 2.0))
         one = apply_dynamics(apply_dynamics(a, t1, r), t2, r)
         two = apply_dynamics(a, t1 + t2, r)
-        worst = max(worst, one.sup_coefficient_distance(two))
+        worst = _worst(worst, one.sup_coefficient_distance(two))
         hom_l = apply_dynamics(multiply(a, b, theta), t1, r)
         hom_r = multiply(apply_dynamics(a, t1, r), apply_dynamics(b, t1, r), theta)
-        worst = max(worst, hom_l.sup_coefficient_distance(hom_r))
+        worst = _worst(worst, hom_l.sup_coefficient_distance(hom_r))
         # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n
         p = tuple(int(v) for v in rng.integers(0, 4, size=k))
         n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
@@ -706,7 +710,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         )
         comm_l = multiply(u_word, v_word, theta)
         comm_r = phase * multiply(v_word, u_word, theta)
-        worst = max(worst, comm_l.sup_coefficient_distance(comm_r))
+        worst = _worst(worst, comm_l.sup_coefficient_distance(comm_r))
     rows = [
         _row(
             "C11",
@@ -747,7 +751,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         mat_b = fock_element_matrix(b, params, kappa, box)
         mat_ab = fock_element_matrix(multiply(a, b, params.theta), params, kappa, box)
         diff = (mat_a @ mat_b - mat_ab)[:, safe_cols]
-        worst_dense = max(worst_dense, float(np.max(np.abs(diff))))
+        worst_dense = _worst(worst_dense, float(np.max(np.abs(diff))))
     rows.append(
         _row(
             "C11",

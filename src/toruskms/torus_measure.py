@@ -4,13 +4,14 @@ Every computation in this package touches a measure only through its moments
 
     moment(mu, n) = integral of exp(2*pi*i * x.n) dmu(x),   n in Z^d,
 
-so measures are moment oracles rather than densities or samples.  That choice
-keeps the two structural operations exact at every index: translating by y
-multiplies moment n by exp(2*pi*i * y.n), and pushing forward under the
-transpose of an integer matrix E re-indexes moments as n -> E n.  A fixed
-Fourier table cannot support the re-indexing (E n eventually leaves any finite
-box), which is why atomic measures are the preferred concrete input format and
-table-backed measures raise ``OutOfBox`` when queried too far.
+so measures are moment oracles rather than densities or samples, evaluated in
+batches of indices (``TorusMeasure.moments``).  That choice keeps the two
+structural operations exact at every index: translating by y multiplies moment
+n by exp(2*pi*i * y.n), and pushing forward under the transpose of an integer
+matrix E re-indexes moments as n -> E n.  A fixed Fourier table cannot support
+the re-indexing (E n eventually leaves any finite box), which is why atomic
+measures are the preferred concrete input format and table-backed measures
+raise ``OutOfBox`` when queried too far.
 
 Positivity of a (possibly signed) real moment oracle is certified by two
 necessary conditions evaluated on finite data:
@@ -76,27 +77,42 @@ def reduce_mod_1(x):
 
 
 def _index_vector(n, d):
-    """Coerce n to a length-d integer vector, rejecting non-integral input."""
+    """Coerce n to a length-d integer vector, rejecting non-finite or non-integral input."""
     arr = np.atleast_1d(np.asarray(n))
     if arr.shape != (d,):
         raise ValueError(f"moment index must have length {d}, got shape {arr.shape}")
-    out = np.rint(np.asarray(arr, dtype=float)).astype(np.int64)
-    if np.max(np.abs(np.asarray(arr, dtype=float) - out)) > 1e-9:
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    real = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(real)):
+        raise ValueError(f"moment index must be finite, got {arr!r}")
+    out = np.rint(real).astype(np.int64)
+    if np.max(np.abs(real - out)) > 1e-9:
         raise ValueError(f"moment index must be integral, got {arr!r}")
     return out
+
+
+def index_box(d: int, radius: int) -> np.ndarray:
+    """Every n in Z^d with |n_i| <= radius as a (B, d) int64 array, in np.ndindex order."""
+    return np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
 
 
 class TorusMeasure:
     """Abstract finite complex measure on S^d, exposed as a moment oracle.
 
-    Subclasses implement ``moment`` for a single integer index.  Instances are
-    immutable after construction and safe to share across threads.
+    Subclasses implement ``moments(N)``, which maps a (B, d) int64 array of
+    indices, one per row, to the (B,) complex array of their moments.
+    ``moment(n)`` validates one index and evaluates it as a one-row batch.
+    Instances are immutable after construction and safe to share across threads.
     """
 
     d: int
 
-    def moment(self, n) -> complex:
+    def moments(self, N) -> np.ndarray:
         raise NotImplementedError
+
+    def moment(self, n) -> complex:
+        return complex(self.moments(_index_vector(n, self.d)[None])[0])
 
     def total_mass(self) -> complex:
         """Moment at n = 0, the measure of the whole torus."""
@@ -126,9 +142,11 @@ class AtomicMeasure(TorusMeasure):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(x.reshape(1, -1), np.array([1.0]))
 
-    def moment(self, n) -> complex:
-        n = _index_vector(n, self.d)
-        return complex(np.sum(self.weights * np.exp(2j * np.pi * (self.points @ n))))
+    def moments(self, N) -> np.ndarray:
+        return np.exp(2j * np.pi * (N @ self.points.T)) @ self.weights
+
+    # Bound in each class body so that profilers can wrap ``moment`` per class.
+    moment = TorusMeasure.moment
 
     def is_probability(self, tol: float = 1e-10) -> bool:
         w = self.weights
@@ -147,9 +165,10 @@ class UniformMeasure(TorusMeasure):
             raise ValueError("dimension must be >= 1")
         self.d = int(d)
 
-    def moment(self, n) -> complex:
-        n = _index_vector(n, self.d)
-        return 1.0 + 0j if not np.any(n) else 0j
+    def moments(self, N) -> np.ndarray:
+        return (~np.any(N, axis=1)).astype(complex)
+
+    moment = TorusMeasure.moment
 
 
 class FourierTableMeasure(TorusMeasure):
@@ -176,18 +195,21 @@ class FourierTableMeasure(TorusMeasure):
     def from_measure(cls, mu: TorusMeasure, radius: int) -> "FourierTableMeasure":
         return cls(moment_table(mu, radius), radius)
 
-    def moment(self, n) -> complex:
-        n = _index_vector(n, self.d)
-        if np.max(np.abs(n)) > self.radius:
+    def moments(self, N) -> np.ndarray:
+        outside = np.any(np.abs(N) > self.radius, axis=1)
+        if np.any(outside):
+            n = N[np.argmax(outside)]
             raise OutOfBox(f"index {n.tolist()} outside stored box radius {self.radius}")
-        return complex(self.table[tuple(n + self.radius)])
+        return self.table[tuple((N + self.radius).T)]
 
 
 class MultipliedMeasure(TorusMeasure):
     """A base measure composed with a closed-form moment multiplier.
 
-    moment(n) = multiplier(n) * moment(base, n).  The tag names the closed
-    form for reports and debugging.
+    moments(N) = multiplier(N) * moments(base, N).  The multiplier is called
+    once per batch with the (B, d) int64 index array and returns the (B,)
+    array of its values, or a scalar that broadcasts (a constant factor).
+    The tag names the closed form for reports and debugging.
     """
 
     def __init__(self, base: TorusMeasure, multiplier: Callable, tag: str):
@@ -196,9 +218,10 @@ class MultipliedMeasure(TorusMeasure):
         self.tag = str(tag)
         self.d = base.d
 
-    def moment(self, n) -> complex:
-        n = _index_vector(n, self.d)
-        return complex(self.multiplier(n)) * self.base.moment(n)
+    def moments(self, N) -> np.ndarray:
+        return np.broadcast_to(self.multiplier(N), (len(N),)) * self.base.moments(N)
+
+    moment = TorusMeasure.moment
 
     def __repr__(self):
         return f"MultipliedMeasure({self.base!r}, tag={self.tag!r})"
@@ -216,9 +239,10 @@ class MappedIndexMeasure(TorusMeasure):
         self.matrix.setflags(write=False)
         self.d = base.d
 
-    def moment(self, n) -> complex:
-        n = _index_vector(n, self.d)
-        return self.base.moment(self.matrix @ n)
+    def moments(self, N) -> np.ndarray:
+        return self.base.moments(N @ self.matrix.T)
+
+    moment = TorusMeasure.moment
 
 
 def moment(mu: TorusMeasure, n) -> complex:
@@ -231,11 +255,7 @@ def moment_table(mu: TorusMeasure, radius: int) -> np.ndarray:
     radius = int(radius)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    shape = (2 * radius + 1,) * mu.d
-    table = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        table[idx] = mu.moment(np.asarray(idx, dtype=np.int64) - radius)
-    return table
+    return mu.moments(index_box(mu.d, radius)).reshape((2 * radius + 1,) * mu.d)
 
 
 def translate(mu: TorusMeasure, y) -> TorusMeasure:
@@ -252,7 +272,7 @@ def translate(mu: TorusMeasure, y) -> TorusMeasure:
         return AtomicMeasure(mu.points + y, mu.weights)
     y = y.copy()
     return MultipliedMeasure(
-        mu, lambda n: np.exp(2j * np.pi * float(y @ n)), tag=f"translate({y.tolist()})"
+        mu, lambda N: np.exp(2j * np.pi * (N @ y)), tag=f"translate({y.tolist()})"
     )
 
 
@@ -348,15 +368,8 @@ def _fejer_density(table: np.ndarray, radius: int, grid_n: int) -> np.ndarray:
 
 def _moment_matrix(table: np.ndarray, radius: int) -> np.ndarray:
     """Multilevel Toeplitz matrix T[a, b] = moment(n_a - n_b), n in [0,N]^d."""
-    d = table.ndim
-    grid = [np.asarray(idx, dtype=np.int64) for idx in np.ndindex((radius + 1,) * d)]
-    size = len(grid)
-    T = np.empty((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            diff = grid[a] - grid[b] + radius
-            T[a, b] = table[tuple(diff)]
-    return T
+    grid = np.indices((radius + 1,) * table.ndim).reshape(table.ndim, -1)
+    return table[tuple(grid[:, :, None] - grid[:, None, :] + radius)]
 
 
 def positivity_test(
@@ -464,10 +477,8 @@ def write_moment_csv(mu: TorusMeasure, radius: int, fileobj=None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"n_{i + 1}" for i in range(mu.d)] + ["Re", "Im"])
-    shape = (2 * radius + 1,) * mu.d
-    for idx in np.ndindex(shape):
-        n = np.asarray(idx, dtype=np.int64) - radius
-        value = mu.moment(n)
+    N = index_box(mu.d, radius)
+    for n, value in zip(N, mu.moments(N)):
         writer.writerow([*(int(v) for v in n), f"{value.real:.17g}", f"{value.imag:.17g}"])
     text = buf.getvalue()
     if fileobj is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +276,33 @@ def test_console_script_installed(line_files):
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _poisoned_planar(tmp_path, where: str):
+    """The canonical planar tower with one entry replaced by NaN or Infinity."""
+    obj = json.loads((SCENARIOS / "planar_tower.json").read_text())
+    if where == "theta":
+        obj["levels"][1]["theta"][0][0] = float("nan")
+    else:
+        obj["levels"][0]["r"][0] = float("inf")
+    path = tmp_path / f"planar_{where}.json"
+    path.write_text(json.dumps(obj))  # json writes the NaN / Infinity literals
+    return path
+
+
+@pytest.mark.parametrize("where", ["theta", "r"])
+def test_validate_rejects_non_finite_scenario(tmp_path, capsys, where):
+    bad = _poisoned_planar(tmp_path, where)
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "non-finite" in out and "INVALID" in out
+
+
+def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
+    bad = _poisoned_planar(tmp_path, "theta")
+    args = ["suite", "--scenario", str(bad), "--suite", "consistency", "--samples", "10"]
+    assert main(args) == 1
+    assert "CHECK FAILURES PRESENT" in capsys.readouterr().out

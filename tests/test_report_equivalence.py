@@ -1,0 +1,39 @@
+"""Reports on the canonical towers against reports frozen before the batched moment oracle.
+
+The frozen files hold ``toruskms report --format json`` output at a reduced
+configuration.  Batched evaluation may round a moment differently in the last
+bits, so numbers are compared to 1e-12; every row must keep its identity and
+verdict.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from toruskms.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+REDUCED = ["--samples", "10", "--s-samples", "5", "--moment-box", "3"]
+NUMERIC = ("value_re", "value_im", "reference_re", "reference_im", "residual", "bound")
+
+
+@pytest.mark.parametrize("tower, thread", [("line", "point_thread.json"), ("planar", None)])
+def test_report_matches_frozen_rows(tower, thread, tmp_path):
+    out = tmp_path / "report.json"
+    args = ["report", "--scenario", str(ROOT / "scenarios" / f"{tower}_tower.json"),
+            "--format", "json", "--out", str(out), *REDUCED]
+    if thread is not None:
+        args += ["--thread", str(ROOT / "scenarios" / thread)]
+    assert main(args) == 0
+    got = json.loads(out.read_text())
+    frozen = json.loads((ROOT / "tests" / "data" / f"report_{tower}_reduced.json").read_text())
+    assert got["overall_pass"] == frozen["overall_pass"]
+    assert len(got["checks"]) == len(frozen["checks"])
+    for new, old in zip(got["checks"], frozen["checks"]):
+        for key in ("check_id", "level", "quantity", "pass"):
+            assert new[key] == old[key], (old["check_id"], old["level"], key)
+        for key in NUMERIC:
+            assert abs(new[key] - old[key]) <= 1e-12, (old["check_id"], old["level"], key)

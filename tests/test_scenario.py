@@ -182,3 +182,18 @@ def test_json_mismatched_DE_lengths():
                 "E": [[[2]]],
             }
         )
+
+
+def test_non_finite_entries_are_violations(planar_scenario):
+    levels = list(planar_scenario.levels)
+    theta = levels[1].theta.copy()
+    theta[0, 0] = np.nan
+    levels[1] = tk.LevelData(theta=theta, D=levels[1].D, E=levels[1].E, r=levels[1].r)
+    nan_theta = tk.Scenario(dims=planar_scenario.dims, beta=0.8, levels=levels)
+    problems = tk.validate_scenario(nan_theta)
+    assert any("level 2: theta has a non-finite entry" in p for p in problems)
+    # the relations touching level 2 are NaN, which is a violation too
+    assert any(p.startswith("levels 1->2: D_m theta") for p in problems)
+    assert any(p.startswith("levels 2->3: D_m theta") for p in problems)
+    inf_beta = tk.Scenario(dims=planar_scenario.dims, beta=np.inf, levels=planar_scenario.levels)
+    assert any("beta" in p for p in tk.validate_scenario(inf_beta))

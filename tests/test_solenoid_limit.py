@@ -162,6 +162,17 @@ def test_consistency_breaks_for_corrupted_thread(line_scenario):
     assert tk.consistency_residual(bad, w) > 1e-3
 
 
+def test_validate_thread_flags_non_finite_moments(line_scenario):
+    good = tk.build_thread(line_scenario, kind="point", y1=np.array([0.3]))
+    measures = list(good.measures)
+    measures[1] = tk.AtomicMeasure(np.array([[0.65]]), np.array([np.nan]))
+    bad = tk.SolenoidMeasureThread(line_scenario, tuple(measures))
+    problems = tk.validate_thread(bad)
+    assert any(p.startswith("level 2: mass") for p in problems)
+    assert any(p.startswith("levels 1->2: compatibility defect nan") for p in problems)
+    assert any(p.startswith("levels 2->3: compatibility defect nan") for p in problems)
+
+
 def test_sigma_map_intertwines_laplace_averages(line_scenario, line_point_thread):
     for m in range(1, line_scenario.depth):
         lo = tk.BlockParams.at_level(line_scenario, m)

@@ -207,6 +207,25 @@ def test_block_params_validation():
         tk.BlockParams(theta=np.array([[-0.5]]), r=np.array([1.0]), beta=1.0)
 
 
+@pytest.mark.parametrize(
+    "theta, r, beta",
+    [([[np.nan]], [1.0], 1.0), ([[0.5]], [np.inf], 1.0), ([[0.5]], [1.0], np.inf)],
+)
+def test_block_params_rejects_non_finite(theta, r, beta):
+    with pytest.raises(ValueError, match="finite"):
+        tk.BlockParams(theta=np.array(theta), r=np.array(r), beta=beta)
+
+
+def test_finite_defect_expansion_check_fails_closed_on_nan():
+    # a block that slipped past validation: NaN moments make the two
+    # expansions incomparable, which must raise rather than pass
+    params = _unit_block()
+    object.__setattr__(params, "theta", np.array([[np.nan]]))
+    defect = tk.defect_measure_finite(tk.UniformMeasure(1), [np.array([1])], params)
+    with pytest.raises(ArithmeticError):
+        defect.moments(np.array([[0], [1]]))
+
+
 def test_block_params_at_level(line_scenario):
     params = tk.BlockParams.at_level(line_scenario, 2)
     assert params.theta[0, 0] == 0.25

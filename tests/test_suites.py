@@ -120,3 +120,42 @@ def test_render_csv_has_contract_columns(line_scenario, line_uniform_thread):
         "residual,bound,pass"
     )
     assert len(lines) == len(rows) + 1
+
+
+def test_worst_propagates_nan():
+    from toruskms.suites import _worst
+
+    assert max(0.5, float("nan")) == 0.5  # the builtin drops a NaN that is not first
+    assert np.isnan(_worst(0.5, float("nan")))
+    assert np.isnan(_worst(float("nan"), 0.5))
+    assert _worst(0.0, 2.0, 1.0) == 2.0
+    assert _worst(0.0, np.inf) == np.inf
+
+
+@pytest.mark.parametrize(
+    "value, reference, residual, bound",
+    [
+        (np.nan, 0.0, 0.0, 1.0),
+        (complex(0.0, np.inf), 0.0, 0.0, 1.0),
+        (0.0, np.nan, 0.0, 1.0),
+        (0.0, 0.0, np.nan, 1.0),
+        (0.0, 0.0, 0.0, np.inf),
+    ],
+)
+def test_row_with_a_non_finite_number_fails(value, reference, residual, bound):
+    from toruskms.suites import _row
+
+    assert _row("C00", 0, "q", value, reference, residual, bound).status == "fail"
+    assert _row("C00", 0, "q", value, reference, residual, bound, status="pass").status == "fail"
+    assert _row("C00", 0, "q", 0.0, 0.0, 0.0, 1.0).status == "pass"
+
+
+def test_positivity_without_defect_samples_is_a_skip(line_scenario, line_point_thread):
+    # the top level has no lattice points, so with no sampled s there is no
+    # defect to certify; the row is a skip rather than a pass at +infinity
+    cfg = tk.SuiteConfig(samples=2, s_samples=0, moment_box=2)
+    rows = tk.run_checks(("C04",), line_scenario, line_point_thread, cfg)
+    top = [r for r in rows if r.level == line_scenario.depth]
+    assert [r.status for r in top] == ["pass", "skip"]
+    assert all(r.status == "pass" for r in rows if r.level < line_scenario.depth)
+    assert tk.overall_pass(rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import toruskms as tk
 
-from conftest import random_atomic
+from conftest import random_atomic, random_block
 
 
 def test_atomic_moments_match_direct_sum():
@@ -203,3 +204,202 @@ def test_moment_csv_columns_and_determinism():
     buf = io.StringIO()
     tk.write_moment_csv(mu, radius=1, fileobj=buf)
     assert buf.getvalue() == text1
+
+
+def test_index_vector_rejects_non_finite():
+    # NaN casts to an int64 that passes the integrality test, so it is
+    # rejected before the cast
+    mu = tk.AtomicMeasure.point_mass([0.3])
+    for bad in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            mu.moment(bad)
+
+
+def test_fourier_table_batch_out_of_box_raises():
+    table = tk.FourierTableMeasure.from_measure(tk.UniformMeasure(2), radius=2)
+    inside = np.array([[0, 0], [2, -2], [1, 1]])
+    assert np.array_equal(table.moments(inside), [1.0, 0.0, 0.0])
+    with pytest.raises(tk.OutOfBox, match=r"\[0, 3\]"):
+        table.moments(np.array([[0, 0], [0, 3], [1, 1]]))
+
+
+def test_multiplier_must_broadcast_to_the_batch():
+    base = tk.UniformMeasure(1)
+    wrong = tk.MultipliedMeasure(base, lambda N: np.ones((len(N), 2)), tag="wrong")
+    with pytest.raises(ValueError):
+        wrong.moments(np.array([[0], [1]]))
+
+
+def _double_loop_moment_matrix(table, radius):
+    """The per-entry builder the gather replaced; kept as the reference."""
+    d = table.ndim
+    grid = [np.asarray(idx, dtype=np.int64) for idx in np.ndindex((radius + 1,) * d)]
+    size = len(grid)
+    T = np.empty((size, size), dtype=complex)
+    for a in range(size):
+        for b in range(size):
+            T[a, b] = table[tuple(grid[a] - grid[b] + radius)]
+    return T
+
+
+@pytest.mark.parametrize("d, radius", [(1, 0), (1, 5), (2, 3), (3, 2)])
+def test_moment_matrix_gather_equals_double_loop(d, radius):
+    from toruskms.torus_measure import _moment_matrix
+
+    rng = np.random.default_rng(d * 10 + radius)
+    shape = (2 * radius + 1,) * d
+    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    gathered = _moment_matrix(table, radius)
+    reference = _double_loop_moment_matrix(table, radius)
+    assert gathered.shape == reference.shape
+    assert np.array_equal(gathered, reference)
+
+
+def _chained_measures(rng, d):
+    params = random_block(rng, d, 2)
+    mu = random_atomic(rng, d)
+    nu = tk.nu_from_mu(mu, params, check=False)
+    E = np.eye(d, dtype=np.int64) * 2
+    E[0, -1] += 1
+    return {
+        "atomic": mu,
+        "uniform": tk.UniformMeasure(d),
+        "table": tk.FourierTableMeasure.from_measure(mu, radius=3),
+        "laplace chain": tk.nu_from_kappa(tk.kappa_from_nu(nu, params), params),
+        "defect": tk.defect_measure_cts(nu, [0.3, 1.2], params),
+        "finite defect": tk.defect_measure_finite(nu, [[1, 0], [0, 2]], params),
+        "translated": tk.translate(tk.UniformMeasure(d), rng.random(d)),
+        "mapped": tk.MappedIndexMeasure(nu, E),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moment_table_equals_per_index_moments(d):
+    # a batch of one row and a batch of many may round a product or a sum in
+    # another order (BLAS kernels, SIMD loops), so entries agree to a few ulps
+    rng = np.random.default_rng(40 + d)
+    for name, mu in _chained_measures(rng, d).items():
+        radius = 3 if name == "table" else 2
+        table = tk.moment_table(mu, radius)
+        assert table.shape == (2 * radius + 1,) * d
+        scalar = np.empty_like(table)
+        for idx in np.ndindex(table.shape):
+            scalar[idx] = mu.moment(np.asarray(idx) - radius)
+        scale = max(1.0, float(np.max(np.abs(scalar))))
+        assert np.max(np.abs(table - scalar)) <= 1e-14 * scale, name
+
+
+# --- batched moments against closed forms evaluated one index at a time in
+# scalar Python (cmath), sharing no code with the package's multipliers
+
+
+def _scalar_theta_dot(params, n):
+    return [sum(float(params.theta[j, i]) * int(n[i]) for i in range(params.d))
+            for j in range(params.k)]
+
+
+def _scalar_laplace(params, n, power):
+    out = 1.0 + 0j
+    for r_j, t_j in zip(params.r, _scalar_theta_dot(params, n)):
+        out *= complex(params.beta * r_j, -2.0 * cmath.pi * t_j) ** power
+    return out
+
+
+def _scalar_geometric(params, n, power):
+    out = 1.0 + 0j
+    for r_j, t_j in zip(params.r, _scalar_theta_dot(params, n)):
+        out *= (1.0 - cmath.exp(-params.beta * r_j + 2j * cmath.pi * t_j)) ** power
+    return out
+
+
+def _scalar_cts_defect(params, s, n):
+    out = 1.0 + 0j
+    for s_j, r_j, t_j in zip(s, params.r, _scalar_theta_dot(params, n)):
+        out *= 1.0 - cmath.exp(-params.beta * s_j * r_j + 2j * cmath.pi * s_j * t_j)
+    return out
+
+
+def _scalar_finite_defect(params, F, n):
+    t = _scalar_theta_dot(params, n)
+    out = 1.0 + 0j
+    for p in F:
+        gap = sum(p_j * r_j for p_j, r_j in zip(p, params.r))
+        phase = sum(p_j * t_j for p_j, t_j in zip(p, t))
+        out *= 1.0 - cmath.exp(-params.beta * gap + 2j * cmath.pi * phase)
+    return out
+
+
+_LAYERS = (
+    "nu_from_mu", "mu_from_nu", "nu_from_kappa", "kappa_from_nu",
+    "defect_cts", "defect_finite", "translate", "pushforward_dual",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=3),
+    base_kind=st.sampled_from(("atomic", "uniform", "table")),
+    layer=st.sampled_from(_LAYERS),
+)
+def test_batched_moments_match_scalar_closed_forms(seed, d, k, base_kind, layer):
+    rng = np.random.default_rng(seed)
+    params = random_block(rng, d, k)
+    radius = 2
+    atoms = random_atomic(rng, d)
+    if base_kind == "atomic":
+        base = atoms
+    elif base_kind == "uniform":
+        base = tk.UniformMeasure(d)
+    else:
+        # wide enough that E n stays inside the table for |n_i| <= 1
+        base = tk.FourierTableMeasure.from_measure(atoms, radius=3 * d)
+        radius = 1
+
+    def base_moment(n):
+        if base_kind == "uniform":
+            return 1.0 + 0j if not any(n) else 0j
+        if base_kind == "table":
+            return complex(base.table[tuple(int(v) + base.radius for v in n)])
+        return sum(complex(w) * cmath.exp(2j * cmath.pi * sum(float(x[i]) * int(n[i])
+                                                               for i in range(d)))
+                   for x, w in zip(atoms.points, atoms.weights))
+
+    s = rng.uniform(0.0, 3.0, size=k)
+    F = [np.eye(k, dtype=np.int64)[j] * (j + 1) for j in range(k)]
+    y = rng.random(d)
+    E = np.eye(d, dtype=np.int64) * 2
+    E[0, -1] += 1
+    # layer -> (measure, scalar multiplier at n, index the base is read at)
+    same = lambda n: n
+    layers = {
+        "nu_from_mu": (tk.nu_from_mu(base, params, check=False),
+                       lambda n: _scalar_laplace(params, n, -1), same),
+        "mu_from_nu": (tk.mu_from_nu(base, params, check=False),
+                       lambda n: _scalar_laplace(params, n, 1), same),
+        "nu_from_kappa": (tk.nu_from_kappa(base, params),
+                          lambda n: _scalar_geometric(params, n, -1), same),
+        "kappa_from_nu": (tk.kappa_from_nu(base, params),
+                          lambda n: _scalar_geometric(params, n, 1), same),
+        "defect_cts": (tk.defect_measure_cts(base, s, params),
+                       lambda n: _scalar_cts_defect(params, s, n), same),
+        "defect_finite": (tk.defect_measure_finite(base, F, params),
+                          lambda n: _scalar_finite_defect(params, F, n), same),
+        "translate": (tk.translate(base, y),
+                      lambda n: cmath.exp(2j * cmath.pi * sum(y[i] * int(n[i]) for i in range(d))),
+                      same),
+        "pushforward_dual": (tk.pushforward_dual(base, E), lambda n: 1.0,
+                             lambda n: [sum(int(E[i, j]) * int(n[j]) for j in range(d))
+                                        for i in range(d)]),
+    }
+    mu, multiplier, read_at = layers[layer]
+
+    N = np.asarray(list(np.ndindex((2 * radius + 1,) * d)), dtype=np.int64) - radius
+    got = mu.moments(N)
+    assert got.shape == (len(N),)
+    # relative to the size of the summed terms: |multiplier| * total variation
+    variation = 1.0 if base_kind == "uniform" else float(np.sum(np.abs(atoms.weights)))
+    for n, value in zip(N, got):
+        want = multiplier(n) * base_moment(read_at(n))
+        assert abs(value - want) <= 1e-13 * abs(multiplier(n)) * variation, (layer, n.tolist())

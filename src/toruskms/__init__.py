@@ -52,7 +52,7 @@ from .scenario import (
 )
 from .subinvariance import (
     BlockParams,
-    DefectMeasure,
+    InvalidBlock,
     MeetNotZero,
     NegativeInput,
     NegativeS,

@@ -43,6 +43,7 @@ from .solenoid_limit import (
 )
 from .subinvariance import (
     BlockParams,
+    InvalidBlock,
     kappa_from_nu,
     mu_from_nu,
     nu_from_kappa,
@@ -59,7 +60,7 @@ from .suites import (
     run_checks,
     run_suite,
 )
-from .toeplitz_algebra import AlgebraElement, parse_word, state_eval
+from .toeplitz_algebra import parse_word
 from .torus_measure import write_moment_csv
 
 TRANSFORMS = ("nu-from-mu", "mu-from-nu", "nu-from-kappa", "kappa-from-nu")
@@ -142,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, thread_default=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument(
             "--thread",
@@ -192,9 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="run every check")
     common(p_rep)
-    p_rep.add_argument(
-        "--levels", default=None, help="comma separated level filter for the rows"
-    )
     _report_options(p_rep, default_format="json")
 
     return parser
@@ -212,23 +210,15 @@ def _report_options(p, default_format="text"):
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=default_format
     )
-    if not any(a.dest == "levels" for a in p._actions):
-        p.add_argument(
-            "--levels", default=None, help="comma separated level filter for the rows"
-        )
+    p.add_argument("--levels", default=None, help="comma separated level filter for the rows")
 
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
     problems = validate_scenario(scenario)
-    thread = None
     if args.thread is not None:
-        try:
-            thread = _load_thread(scenario, args.thread)
-        except InputError:
-            raise
-        if thread is not None:
-            problems.extend(validate_thread(thread, moment_radius=args.moment_box))
+        thread = _load_thread(scenario, args.thread)
+        problems.extend(validate_thread(thread, moment_radius=args.moment_box))
     if problems:
         _emit("\n".join(problems) + "\nINVALID\n", args.out)
         return 1
@@ -249,6 +239,9 @@ def _cmd_state(args) -> int:
     value = psi_eval(thread, word)
     lines = [f"psi({word}) = {value.real:.17g} {value.imag:+.17g}i"]
     code = 0
+    if not np.isfinite(value):
+        lines.append("NON-FINITE VALUE")
+        code = 1
     if args.oracle:
         m = word.level
         params = BlockParams.at_level(scenario, m)
@@ -264,7 +257,7 @@ def _cmd_state(args) -> int:
         gap = abs(value - oracle)
         lines.append(f"oracle      = {oracle.real:.17g} {oracle.imag:+.17g}i")
         lines.append(f"|difference| = {gap:.3e} (tolerance {args.tol:.3e})")
-        if gap > args.tol:
+        if not gap <= args.tol:
             lines.append("ORACLE MISMATCH")
             code = 1
     _emit("\n".join(lines) + "\n", args.out)
@@ -362,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConstraintViolation as exc:
+    except (ConstraintViolation, InvalidBlock) as exc:
         sys.stderr.write(f"constraint violated: {exc}\n")
         return 1
     except InputError as exc:

@@ -36,7 +36,6 @@ import numpy as np
 from .torus_measure import (
     AtomicMeasure,
     MultipliedMeasure,
-    PositivityVerdict,
     TorusMeasure,
     UniformMeasure,
     positivity_test,
@@ -47,8 +46,8 @@ __all__ = [
     "NegativeS",
     "NegativeInput",
     "NotSubinvariant",
+    "InvalidBlock",
     "BlockParams",
-    "DefectMeasure",
     "nu_from_mu",
     "mu_from_nu",
     "nu_from_kappa",
@@ -81,9 +80,16 @@ class NotSubinvariant(Exception):
     """mu_from_nu was given a measure whose sampled defects fail positivity."""
 
 
+class InvalidBlock(ValueError):
+    """BlockParams was given a shape mismatch or a theta, r or beta outside its domain."""
+
+
 @dataclass(frozen=True)
 class BlockParams:
-    """Rotation block theta (k x d, >= 0), weights r (> 0), temperature beta (> 0)."""
+    """Rotation block theta (k x d, >= 0), weights r (> 0), temperature beta (> 0).
+
+    Any other input, NaN and infinity included, raises InvalidBlock.
+    """
 
     theta: np.ndarray
     r: np.ndarray
@@ -94,13 +100,13 @@ class BlockParams:
         r = np.atleast_1d(np.asarray(self.r, dtype=float))
         beta = float(self.beta)
         if theta.shape[0] != r.shape[0]:
-            raise ValueError("theta must have one row per entry of r")
+            raise InvalidBlock("theta must have one row per entry of r")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(r)) and np.isfinite(beta)):
-            raise ValueError("theta, r and beta must be finite")
+            raise InvalidBlock("theta, r and beta must be finite")
         if np.any(theta < 0):
-            raise ValueError("theta entries must be nonnegative")
+            raise InvalidBlock("theta entries must be nonnegative")
         if np.any(r <= 0) or not beta > 0:
-            raise ValueError("r entries and beta must be positive")
+            raise InvalidBlock("r entries and beta must be positive")
         theta.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -111,7 +117,10 @@ class BlockParams:
     def at_level(cls, scenario, m: int) -> "BlockParams":
         """The block of level m of a scenario (1-based)."""
         lvl = scenario.level(m)
-        return cls(theta=lvl.theta, r=lvl.r, beta=scenario.beta)
+        try:
+            return cls(theta=lvl.theta, r=lvl.r, beta=scenario.beta)
+        except InvalidBlock as exc:
+            raise InvalidBlock(f"level {m}: {exc}") from None
 
     @property
     def k(self) -> int:
@@ -132,18 +141,6 @@ class BlockParams:
     def partition_value(self) -> float:
         """y_beta = sum over p in N^k of e^(-beta p.r) = prod_j (1-e^(-beta r_j))^(-1)."""
         return float(np.prod(1.0 / (1.0 - np.exp(-self.beta * self.r))))
-
-
-class DefectMeasure(MultipliedMeasure):
-    """A measure with one or more translation factors removed.
-
-    Concretely a multiplied representation whose multiplier is the defect
-    product; ``description`` records which factors were removed.
-    """
-
-    def __init__(self, base: TorusMeasure, multiplier, description: str):
-        super().__init__(base, multiplier, tag=description)
-        self.description = description
 
 
 def _laplace_factors(params: BlockParams, N) -> np.ndarray:
@@ -222,7 +219,7 @@ def kappa_from_nu(nu: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
 
 def defect_measure_finite(
     nu: TorusMeasure, F: Iterable, params: BlockParams
-) -> DefectMeasure:
+) -> MultipliedMeasure:
     """Defect of nu with respect to a meet-zero family F of integer steps.
 
     Each p in F removes the factor (1 - e^(-beta p.r) R_{theta^T p}) from nu;
@@ -266,8 +263,7 @@ def defect_measure_finite(
             )
         return product
 
-    desc = f"finite-defect(F={[a.tolist() for a in fam]})"
-    return DefectMeasure(nu, multiplier, desc)
+    return MultipliedMeasure(nu, multiplier, tag=f"finite-defect(F={[a.tolist() for a in fam]})")
 
 
 def defect_measure_cts(
@@ -275,7 +271,7 @@ def defect_measure_cts(
     s,
     params: BlockParams,
     axes: Optional[Sequence[int]] = None,
-) -> DefectMeasure:
+) -> MultipliedMeasure:
     """Defect of nu with respect to fractional steps s in [0, infinity)^k.
 
     Removes, for each axis j (or each j in ``axes`` when given), the factor
@@ -306,10 +302,8 @@ def defect_measure_cts(
         factors = 1.0 - np.exp(-p.beta * s * p.r + TWO_PI_I * s * t)
         return np.prod(factors[:, axes_arr], axis=1)
 
-    desc = f"cts-defect(s={s.tolist()}" + (
-        ")" if axes is None else f", axes={axes_arr.tolist()})"
-    )
-    return DefectMeasure(nu, multiplier, desc)
+    tag = f"cts-defect(s={s.tolist()}" + (")" if axes is None else f", axes={axes_arr.tolist()})")
+    return MultipliedMeasure(nu, multiplier, tag=tag)
 
 
 def numeric_limit_mu(

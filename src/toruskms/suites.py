@@ -5,17 +5,16 @@ exact identity, a residual, or an engine fuzz) and returns report rows; a row
 records the quantity, its value, the reference it was compared to, the
 residual, the bound it must stay under, and pass/fail/skip.  Checks draw
 their randomness from a generator seeded by (seed, check index), so a report
-is a deterministic function of the configuration, whatever the execution
-order; the suite runner evaluates checks in a small thread pool and assembles
-rows sorted by check id.
+is a deterministic function of the configuration and a check's rows do not
+depend on which other checks run; the suite runner evaluates the checks one
+after another and returns rows sorted by check id.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -798,42 +797,22 @@ def run_checks(
     scenario: Scenario,
     thread: SolenoidMeasureThread,
     cfg: Optional[SuiteConfig] = None,
-    parallel: bool = True,
 ) -> List[StateReport]:
-    """Run the named checks; rows come back sorted by check id.
+    """Run the named checks in turn, in CHECKS order (sorted by check id).
 
     Every check draws from its own generator seeded by (cfg.seed, check
-    position), so results do not depend on the subset requested or on the
-    thread pool's scheduling.
+    position), so a check's rows do not depend on the subset requested.
     """
     cfg = cfg or SuiteConfig()
-    jobs = [
-        (idx, cid, fn)
-        for idx, (cid, _title, fn) in enumerate(CHECKS)
-        if cid in set(check_ids)
-    ]
-    unknown = set(check_ids) - {cid for cid, _t, _f in CHECKS}
+    wanted = set(check_ids)
+    unknown = wanted - {cid for cid, _t, _f in CHECKS}
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
-
-    def run_one(idx: int, fn) -> List[StateReport]:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
-        return fn(scenario, thread, cfg, rng)
-
-    results: Dict[str, List[StateReport]] = {}
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-            futures = {
-                pool.submit(run_one, idx, fn): cid for idx, cid, fn in jobs
-            }
-            for fut, cid in futures.items():
-                results[cid] = fut.result()
-    else:
-        for idx, cid, fn in jobs:
-            results[cid] = run_one(idx, fn)
     rows: List[StateReport] = []
-    for cid in sorted(results):
-        rows.extend(results[cid])
+    for idx, (cid, _title, fn) in enumerate(CHECKS):
+        if cid in wanted:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
+            rows.extend(fn(scenario, thread, cfg, rng))
     return rows
 
 
@@ -842,11 +821,10 @@ def run_suite(
     scenario: Scenario,
     thread: SolenoidMeasureThread,
     cfg: Optional[SuiteConfig] = None,
-    parallel: bool = True,
 ) -> List[StateReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return run_checks(SUITES[name], scenario, thread, cfg, parallel=parallel)
+    return run_checks(SUITES[name], scenario, thread, cfg)
 
 
 def overall_pass(rows: Sequence[StateReport]) -> bool:

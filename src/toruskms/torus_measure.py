@@ -123,7 +123,8 @@ class AtomicMeasure(TorusMeasure):
     """Finitely many weighted points; the default concrete input format.
 
     Points are stored reduced mod 1.  Weights may be complex internally;
-    probability measures have real nonnegative weights summing to 1.
+    probability measures have real nonnegative weights summing to 1.  A NaN
+    or infinite point or weight raises ValueError.
     """
 
     def __init__(self, points, weights):
@@ -131,6 +132,8 @@ class AtomicMeasure(TorusMeasure):
         weights = np.atleast_1d(np.asarray(weights, dtype=complex))
         if points.ndim != 2 or weights.ndim != 1 or points.shape[0] != weights.shape[0]:
             raise ValueError("need one weight per atom")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise ValueError("atom points and weights must be finite")
         self.points = reduce_mod_1(points)
         self.points.setflags(write=False)
         self.weights = weights
@@ -184,7 +187,7 @@ class FourierTableMeasure(TorusMeasure):
         if radius < 0 or table.shape != (2 * radius + 1,) * table.ndim:
             raise ValueError("table must have shape (2*radius+1,)^d")
         sym_defect = np.max(np.abs(table - np.conj(table[(slice(None, None, -1),) * table.ndim])))
-        if sym_defect > 1e-12 * max(1.0, float(np.max(np.abs(table)))):
+        if not sym_defect <= 1e-12 * max(1.0, float(np.max(np.abs(table)))):
             raise ValueError(f"table is not Hermitian-symmetric (defect {sym_defect:.3e})")
         self.table = table
         self.table.setflags(write=False)
@@ -406,7 +409,7 @@ def positivity_test(
     table = moment_table(lam, N)
     scale = max(1.0, float(np.max(np.abs(table))))
     sym_defect = np.max(np.abs(table - np.conj(table[(slice(None, None, -1),) * d])))
-    if sym_defect > 1e-9 * scale:
+    if not sym_defect <= 1e-9 * scale:
         raise ValueError(
             f"moments are not Hermitian-symmetric (defect {sym_defect:.3e}); "
             "positivity is defined for real measures"

@@ -16,7 +16,7 @@ CONFIG = tk.SuiteConfig()
 
 
 def _run(check_id, scenario, thread):
-    return tk.run_checks((check_id,), scenario, thread, CONFIG, parallel=False)
+    return tk.run_checks((check_id,), scenario, thread, CONFIG)
 
 
 def _report(num, label, rows, extra=""):

@@ -306,3 +306,19 @@ def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
     args = ["suite", "--scenario", str(bad), "--suite", "consistency", "--samples", "10"]
     assert main(args) == 1
     assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["theta", "r"])
+def test_report_on_non_finite_tower_is_a_one_line_violation(tmp_path, capsys, where):
+    bad = _poisoned_planar(tmp_path, where)
+    args = ["report", "--scenario", str(bad), "--samples", "5", "--s-samples", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violated: level ") and "finite" in err
+    assert err.count("\n") == 1
+
+
+def test_state_on_nan_theta_exits_one(tmp_path, capsys):
+    bad = _poisoned_planar(tmp_path, "theta")
+    assert main(["state", "--scenario", str(bad), "--word", "V[0,0] U[1,0] V*[0,0] @ 2"]) == 1
+    assert "NON-FINITE VALUE" in capsys.readouterr().out

@@ -165,7 +165,10 @@ def test_consistency_breaks_for_corrupted_thread(line_scenario):
 def test_validate_thread_flags_non_finite_moments(line_scenario):
     good = tk.build_thread(line_scenario, kind="point", y1=np.array([0.3]))
     measures = list(good.measures)
-    measures[1] = tk.AtomicMeasure(np.array([[0.65]]), np.array([np.nan]))
+    # AtomicMeasure rejects a NaN weight, so poison the level through a multiplier
+    measures[1] = tk.MultipliedMeasure(
+        tk.AtomicMeasure(np.array([[0.65]]), np.array([1.0])), lambda N: np.nan, tag="nan"
+    )
     bad = tk.SolenoidMeasureThread(line_scenario, tuple(measures))
     problems = tk.validate_thread(bad)
     assert any(p.startswith("level 2: mass") for p in problems)

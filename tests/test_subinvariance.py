@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,22 @@ def test_block_params_validation():
 def test_block_params_rejects_non_finite(theta, r, beta):
     with pytest.raises(ValueError, match="finite"):
         tk.BlockParams(theta=np.array(theta), r=np.array(r), beta=beta)
+
+
+def test_at_level_raises_invalid_block_naming_the_level(line_scenario):
+    levels = list(line_scenario.levels)
+    levels[1] = dataclasses.replace(levels[1], r=np.array([0.0]))
+    broken = dataclasses.replace(line_scenario, levels=tuple(levels))
+    with pytest.raises(tk.InvalidBlock, match="level 2: r entries"):
+        tk.BlockParams.at_level(broken, 2)
+
+
+def test_defects_are_multiplied_measures_with_tags():
+    params = _unit_block()
+    finite = tk.defect_measure_finite(tk.UniformMeasure(1), [np.array([1])], params)
+    cts = tk.defect_measure_cts(tk.UniformMeasure(1), np.array([0.5]), params, axes=[0])
+    assert type(finite) is tk.MultipliedMeasure and finite.tag == "finite-defect(F=[[1]])"
+    assert type(cts) is tk.MultipliedMeasure and cts.tag == "cts-defect(s=[0.5], axes=[0])"
 
 
 def test_finite_defect_expansion_check_fails_closed_on_nan():

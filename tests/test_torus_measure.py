@@ -215,6 +215,29 @@ def test_index_vector_rejects_non_finite():
             mu.moment(bad)
 
 
+@pytest.mark.parametrize(
+    "points, weights",
+    [([[0.3]], [np.nan]), ([[np.nan]], [1.0]), ([[np.inf]], [1.0]), ([[0.3]], [complex(0, np.inf)])],
+)
+def test_atomic_measure_rejects_non_finite(points, weights):
+    with pytest.raises(ValueError, match="finite"):
+        tk.AtomicMeasure(np.array(points), np.array(weights))
+
+
+def test_positivity_gate_rejects_nan_moments():
+    # NaN moments must not slip past the Hermitian gate into eigh
+    poisoned = tk.MultipliedMeasure(tk.UniformMeasure(1), lambda N: np.nan, tag="nan")
+    with pytest.raises(ValueError, match="Hermitian"):
+        tk.positivity_test(poisoned, moment_radius=2)
+
+
+def test_fourier_table_rejects_nan_entry():
+    table = tk.moment_table(tk.UniformMeasure(1), 2)
+    table[0] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        tk.FourierTableMeasure(table, 2)
+
+
 def test_fourier_table_batch_out_of_box_raises():
     table = tk.FourierTableMeasure.from_measure(tk.UniformMeasure(2), radius=2)
     inside = np.array([[0, 0], [2, -2], [1, 1]])

@@ -27,6 +27,7 @@ them to produce a value.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -148,13 +149,18 @@ class FockTruncation:
 
     @classmethod
     def for_params(cls, params: BlockParams, tail: float = 1e-10) -> "FockTruncation":
-        """Smallest box whose closed-form tail weight is <= tail."""
-        box = 0
-        while cls(box).tail_weight(params) > tail:
-            box += 1
-            if box > 200000:
+        """Smallest box whose closed-form tail weight is <= tail.
+
+        tail_weight never grows with the box, even in floating point, so
+        doubling to a box that fits and bisecting below it finds that box.
+        """
+        fits = lambda box: cls(box).tail_weight(params) <= tail
+        top = 1
+        while not fits(top):
+            if top >= 200000:
                 raise ValueError("tail target unreachable at sane box sizes")
-        return cls(box)
+            top = min(2 * top, 200000)
+        return cls(bisect.bisect_left(range(top), True, key=fits))
 
     def tail_weight(self, params: BlockParams) -> float:
         """sum of e^(-beta p.r) over p outside [0, box]^k, in closed form.
@@ -339,15 +345,8 @@ def fock_dense_state(
     """
     mat = fock_element_matrix(a, params, kappa, box)
     occ = _occupation_indices(params.k, box)
-    n_atoms = len(kappa.weights)
-    weights = kappa.weights
-    total = 0j
-    for fock_idx in range(occ.shape[0]):
-        vec = np.zeros(mat.shape[0], dtype=complex)
-        vec[fock_idx * n_atoms : (fock_idx + 1) * n_atoms] = 1.0
-        image = mat @ vec
-        seg = image[fock_idx * n_atoms : (fock_idx + 1) * n_atoms]
-        inner = complex(np.sum(weights * seg))
-        gap = float(occ[fock_idx].astype(float) @ params.r)
-        total += np.exp(-params.beta * gap) * inner
-    return complex(total)
+    cells, n_atoms = len(occ), len(kappa.weights)
+    # blocks[b] is the diagonal block of M on delta_b x L2(kappa)
+    blocks = np.einsum("bibj->bij", mat.reshape(cells, n_atoms, cells, n_atoms))
+    inner = blocks.sum(axis=2) @ kappa.weights
+    return complex(np.exp(-params.beta * (occ @ params.r)) @ inner)

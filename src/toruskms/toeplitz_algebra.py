@@ -13,7 +13,11 @@ single word with an explicit phase:
       = e^(2 pi i [ (j-q).theta n + (j-p').theta n' ]) V_(p+j-q) U_(n+n') V*_(q'+j-p')
 
 with j = q v p'.  Elements are dictionaries word -> coefficient kept in this
-normal form; coefficients with modulus below 1e-15 are pruned.
+normal form; coefficients with modulus below 1e-15 are pruned.  Words hold
+tuples of Python ints and the normal form is computed on them directly: the
+exponents by tuple arithmetic, theta.n once per word, and the phases of one
+product call as stacked numpy dot products (rounded as single ones would be)
+through a single exponential of an array.
 
 The gauge dynamics acts diagonally, alpha_t(V_p U_n V*_q) =
 e^(i t (p-q).r) V_p U_n V*_q, for real or complex t.  Given a measure nu on
@@ -27,9 +31,11 @@ identically for this functional whatever nu is.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from operator import add, neg, sub
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -63,15 +69,16 @@ class WordParseError(Exception):
     """A word literal does not match V[p] U[n] V*[q] @ m."""
 
 
-def _nat_tuple(values, what: str) -> Tuple[int, ...]:
-    out = tuple(int(v) for v in np.atleast_1d(np.asarray(values)))
-    if any(v < 0 for v in out):
-        raise ValueError(f"{what} must be entrywise nonnegative, got {out}")
-    return out
+def _int_entry(v, what: str) -> int:
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and math.isfinite(v) and float(v).is_integer():
+        return int(v)
+    raise ValueError(f"{what} entries must be finite integers, got {v!r}")
 
 
-def _int_tuple(values) -> Tuple[int, ...]:
-    return tuple(int(v) for v in np.atleast_1d(np.asarray(values)))
+def _int_tuple(values, what: str) -> Tuple[int, ...]:
+    return tuple(_int_entry(v, what) for v in np.atleast_1d(np.asarray(values)).tolist())
 
 
 @dataclass(frozen=True)
@@ -84,13 +91,19 @@ class Word:
     level: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _nat_tuple(self.p, "p"))
-        object.__setattr__(self, "q", _nat_tuple(self.q, "q"))
-        object.__setattr__(self, "n", _int_tuple(self.n))
-        object.__setattr__(self, "level", int(self.level))
-        if len(self.p) != len(self.q):
+        p, n, q, level = self.p, self.n, self.q, self.level
+        # the engine builds words from tuples of Python ints: those need no conversion
+        fast = type(level) is int and type(p) is type(n) is type(q) is tuple
+        if not (fast and all(type(v) is int for v in p + n + q)):
+            p, n, q = _int_tuple(p, "p"), _int_tuple(n, "n"), _int_tuple(q, "q")
+            level = _int_entry(level, "level")
+            for name, value in zip(("p", "n", "q", "level"), (p, n, q, level)):
+                object.__setattr__(self, name, value)
+        if min(p + q, default=0) < 0:
+            raise ValueError(f"p and q must be entrywise nonnegative, got {p} and {q}")
+        if len(p) != len(q):
             raise ValueError("p and q must have the same length")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("levels are 1-based")
 
     @classmethod
@@ -168,29 +181,21 @@ class AlgebraElement:
 
 def join(p, q) -> Tuple[int, ...]:
     """Componentwise maximum p v q of two points of N^k."""
-    p = np.atleast_1d(np.asarray(p, dtype=np.int64))
-    q = np.atleast_1d(np.asarray(q, dtype=np.int64))
-    if p.shape != q.shape:
+    p, q = _int_tuple(p, "p"), _int_tuple(q, "q")
+    if len(p) != len(q):
         raise ValueError("join needs vectors of equal length")
-    if np.any(p < 0) or np.any(q < 0):
+    if min(p + q, default=0) < 0:
         raise ValueError("join is defined on N^k")
-    return tuple(int(v) for v in np.maximum(p, q))
+    return tuple(map(max, p, q))
 
 
-def _word_product(w1: Word, c1: complex, w2: Word, c2: complex, theta: np.ndarray):
-    q1 = np.asarray(w1.q, dtype=np.int64)
-    p2 = np.asarray(w2.p, dtype=np.int64)
-    j = np.maximum(q1, p2)
-    tn1 = theta @ np.asarray(w1.n, dtype=float)
-    tn2 = theta @ np.asarray(w2.n, dtype=float)
-    phase = float((j - q1) @ tn1) + float((j - p2) @ tn2)
-    word = Word(
-        p=np.asarray(w1.p, dtype=np.int64) + j - q1,
-        n=np.asarray(w1.n, dtype=np.int64) + np.asarray(w2.n, dtype=np.int64),
-        q=np.asarray(w2.q, dtype=np.int64) + j - p2,
-        level=w1.level,
-    )
-    return word, c1 * c2 * complex(np.exp(TWO_PI_I * phase))
+def _row_dots(rows, floats: np.ndarray) -> np.ndarray:
+    """u @ v for each row u of rows and v of floats (or v = floats when 1-d).
+
+    One stacked matmul, which takes the same BLAS dot per row as ``u @ v``
+    does alone, so every phase rounds as a product of two single words does.
+    """
+    return np.matmul(np.array(rows, dtype=float)[:, None, :], floats[..., None])[:, 0, 0]
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
@@ -202,22 +207,36 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level} differ")
+    if not (a.terms and b.terms):
+        return AlgebraElement(a.level, {})
     # every phase exponent pairs theta with integer vectors on both sides, so
     # shifting entries by integers never changes a coefficient; reducing mod 1
     # here keeps the exponents O(1) and the rounding error off the phases
     theta = np.mod(np.atleast_2d(np.asarray(theta, dtype=float)), 1.0)
+    # theta.n of a's words, then b's, one stacked matmul that rounds as theta @ n
+    ns = np.array([w.n for w in a.terms] + [w.n for w in b.terms], dtype=float)
+    tn = np.matmul(theta, ns[..., None])[..., 0]
+    products, shifts, tn_rows = [], [], []
+    for ia, (w1, c1) in enumerate(a.terms.items()):
+        for ib, (w2, c2) in enumerate(b.terms.items(), start=len(a.terms)):
+            j = tuple(map(max, w1.q, w2.p))
+            up, down = tuple(map(sub, j, w1.q)), tuple(map(sub, j, w2.p))
+            p, n = tuple(map(add, w1.p, up)), tuple(map(add, w1.n, w2.n))
+            products.append((Word(p, n, tuple(map(add, w2.q, down)), a.level), c1 * c2))
+            shifts += (up, down)
+            tn_rows += (ia, ib)
+    dots = _row_dots(shifts, tn.take(tn_rows, axis=0))
+    phases = dots[0::2] + dots[1::2]
     out: Dict[Word, complex] = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            word, coeff = _word_product(w1, c1, w2, c2, theta)
-            out[word] = out.get(word, 0j) + coeff
+    for (word, coeff), phase in zip(products, np.exp(TWO_PI_I * phases).tolist()):
+        out[word] = out.get(word, 0j) + coeff * phase
     return AlgebraElement(a.level, out)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: (V_p U_n V*_q)* = V_q U_(-n) V*_p with conjugated coefficients."""
     out = {
-        Word(p=w.q, n=tuple(-v for v in w.n), q=w.p, level=w.level): np.conj(c)
+        Word(p=w.q, n=tuple(map(neg, w.n)), q=w.p, level=w.level): c.conjugate()
         for w, c in a.terms.items()
     }
     return AlgebraElement(a.level, out)
@@ -228,13 +247,12 @@ def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
 
     t may be complex; t = i*beta yields the KMS twist e^(-beta (p-q).r).
     """
+    if not a.terms:
+        return AlgebraElement(a.level, {})
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    t = complex(t)
-    out = {}
-    for w, c in a.terms.items():
-        gap = float((np.asarray(w.p, dtype=np.int64) - np.asarray(w.q, dtype=np.int64)) @ r)
-        out[w] = c * complex(np.exp(1j * t * gap))
-    return AlgebraElement(a.level, out)
+    gaps = _row_dots([tuple(map(sub, w.p, w.q)) for w in a.terms], r)
+    factors = np.exp(1j * complex(t) * gaps).tolist()
+    return AlgebraElement(a.level, {w: c * f for (w, c), f in zip(a.terms.items(), factors)})
 
 
 def state_eval(

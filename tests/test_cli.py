@@ -318,6 +318,16 @@ def test_report_on_non_finite_tower_is_a_one_line_violation(tmp_path, capsys, wh
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["theta", "r"])
+def test_reconcile_suite_on_non_finite_tower_is_a_one_line_violation(tmp_path, capsys, where):
+    # C08 samples no scenario data off d = k = 1, but must still reject the tower
+    bad = _poisoned_planar(tmp_path, where)
+    assert main(["suite", "--scenario", str(bad), "--suite", "reconcile"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violated: level ") and "finite" in err
+    assert err.count("\n") == 1
+
+
 def test_state_on_nan_theta_exits_one(tmp_path, capsys):
     bad = _poisoned_planar(tmp_path, "theta")
     assert main(["state", "--scenario", str(bad), "--word", "V[0,0] U[1,0] V*[0,0] @ 2"]) == 1

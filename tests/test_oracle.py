@@ -52,6 +52,23 @@ def test_fock_truncation_tail_decreases():
     assert auto.tail_weight(params) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fock_truncation_search_matches_linear_scan(k):
+    def scan(params, tail):
+        box = 0
+        while tk.FockTruncation(box).tail_weight(params) > tail:
+            box += 1
+        return box
+
+    for beta_r in (0.01, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 10.0, 40.0):
+        r = beta_r * np.linspace(1.0, 1.5, k)  # unequal rates when k > 1
+        params = tk.BlockParams(theta=np.full((k, 2), 0.3), r=r, beta=1.0)
+        for tail in (1e-10, 1e-6, 1e-2, 0.5):
+            assert tk.FockTruncation.for_params(params, tail).box == scan(params, tail), (
+                beta_r, tail
+            )
+
+
 def test_fock_sum_matches_frozen_geometric_value():
     params = tk.BlockParams(theta=np.array([[1.0]]), r=np.array([1.0]), beta=1.0)
     kappa = tk.AtomicMeasure(np.array([[0.25]]), np.array([1.0]))

@@ -1,9 +1,13 @@
-"""Reports on the canonical towers against reports frozen before the batched moment oracle.
+"""Reports on the canonical towers against reports frozen at earlier commits.
 
 The frozen files hold ``toruskms report --format json`` output at a reduced
-configuration.  Batched evaluation may round a moment differently in the last
-bits, so numbers are compared to 1e-12; every row must keep its identity and
-verdict.
+configuration.  ``report_*_reduced.json`` predate the batched moment oracle,
+which may round a moment differently in the last bits, so numbers are
+compared to 1e-12 and every row must keep its identity and verdict.
+``report_*_rows_parent.json`` predate the int-tuple word engine, which must
+not move any row: their checks are compared field by field with ``==``.  The
+config echo is never compared, because it holds the paths the report was run
+with.
 """
 
 from __future__ import annotations
@@ -37,3 +41,17 @@ def test_report_matches_frozen_rows(tower, thread, tmp_path):
             assert new[key] == old[key], (old["check_id"], old["level"], key)
         for key in NUMERIC:
             assert abs(new[key] - old[key]) <= 1e-12, (old["check_id"], old["level"], key)
+
+
+@pytest.mark.parametrize("tower, thread", [("line", "point_thread.json"), ("planar", None)])
+def test_report_rows_equal_parent_rows_exactly(tower, thread, tmp_path):
+    out = tmp_path / "report.json"
+    args = ["report", "--scenario", str(ROOT / "scenarios" / f"{tower}_tower.json"),
+            "--format", "json", "--out", str(out), *REDUCED]
+    if thread is not None:
+        args += ["--thread", str(ROOT / "scenarios" / thread)]
+    assert main(args) == 0
+    got = json.loads(out.read_text())
+    frozen = json.loads((ROOT / "tests" / "data" / f"report_{tower}_rows_parent.json").read_text())
+    assert got["overall_pass"] == frozen["overall_pass"]
+    assert got["checks"] == frozen["checks"]

@@ -273,3 +273,45 @@ def test_word_validation():
         tk.Word(p=(-1,), n=(0,), q=(0,), level=1)
     with pytest.raises(ValueError):
         tk.Word(p=(0,), n=(0,), q=(0,), level=0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # tuples of Python floats miss the int-tuple fast path
+        dict(p=(1.5,), n=(0,), q=(0,), level=1),
+        dict(p=(1,), n=(0.9,), q=(0,), level=1),
+        dict(p=(1,), n=(0,), q=(0.2,), level=1),
+        dict(p=(1,), n=(0,), q=(0,), level=1.9),
+        dict(p=(1,), n=(float("inf"),), q=(0,), level=1),
+        dict(p=(1,), n=(0,), q=(0,), level=float("nan")),
+        # numpy arrays take the converting path
+        dict(p=np.array([1.5]), n=np.array([0]), q=np.array([0]), level=1),
+        dict(p=np.array([1]), n=np.array([np.inf]), q=np.array([0]), level=1),
+        dict(p=np.array([1]), n=np.array([0]), q=np.array([np.nan]), level=np.float64(2.5)),
+    ],
+)
+def test_word_rejects_non_integral_entries(fields):
+    with pytest.raises(ValueError):
+        tk.Word(**fields)
+
+
+def test_word_fast_path_keeps_every_check():
+    with pytest.raises(ValueError):
+        tk.Word(p=(0, -1), n=(0,), q=(0, 0), level=1)
+    with pytest.raises(ValueError):
+        tk.Word(p=(0,), n=(0,), q=(0, 0), level=1)
+    with pytest.raises(ValueError):
+        tk.Word(p=(0,), n=(0,), q=(0,), level=0)
+
+
+def test_word_from_numpy_integers_equals_word_from_ints():
+    ints = tk.Word(p=(1, 0), n=(2, -3), q=(0, 4), level=2)
+    arrays = tk.Word(p=np.array([1, 0]), n=np.array([2, -3]), q=np.array([0, 4]),
+                     level=np.int64(2))
+    scalars = tk.Word(p=(np.int64(1), np.int64(0)), n=(np.int64(2), np.int64(-3)),
+                      q=(np.int64(0), np.int64(4)), level=2)
+    integral_floats = tk.Word(p=(1.0, 0.0), n=(2.0, -3.0), q=(0.0, 4.0), level=2.0)
+    for other in (arrays, scalars, integral_floats):
+        assert other == ints and hash(other) == hash(ints)
+        assert all(type(v) is int for v in other.p + other.n + other.q + (other.level,))

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .oracle import laplace_quadrature
+from .oracle import psi_oracle
 from .scenario import (
     NonNonnegativeTheta,
     Scenario,
@@ -36,7 +36,6 @@ from .solenoid_limit import (
     InvalidThread,
     SolenoidMeasureThread,
     build_thread,
-    level_constants,
     psi_eval,
     thread_from_json,
     validate_thread,
@@ -85,12 +84,11 @@ def _load_json(path: str) -> dict:
 
 
 def _load_scenario(path: str) -> Scenario:
+    obj = _load_json(path)
     try:
-        return scenario_from_json(_load_json(path))
+        return scenario_from_json(obj)
     except (NonNonnegativeTheta, SingularE) as exc:
         raise ConstraintViolation(f"scenario {path}: {exc}") from exc
-    except InputError:
-        raise
     except Exception as exc:
         raise InputError(f"bad scenario in {path}: {exc}") from exc
 
@@ -98,12 +96,11 @@ def _load_scenario(path: str) -> Scenario:
 def _load_thread(scenario: Scenario, path: Optional[str]) -> SolenoidMeasureThread:
     if path is None:
         return build_thread(scenario, kind="uniform")
+    obj = _load_json(path)
     try:
-        return thread_from_json(_load_json(path), scenario)
+        return thread_from_json(obj, scenario)
     except (IncompatibleThread, InvalidThread) as exc:
         raise ConstraintViolation(f"thread {path}: {exc}") from exc
-    except InputError:
-        raise
     except Exception as exc:
         raise InputError(f"bad thread in {path}: {exc}") from exc
 
@@ -243,17 +240,7 @@ def _cmd_state(args) -> int:
         lines.append("NON-FINITE VALUE")
         code = 1
     if args.oracle:
-        m = word.level
-        params = BlockParams.at_level(scenario, m)
-        c_m = level_constants(scenario).c[m - 1]
-        if word.p != word.q:
-            oracle = 0j
-        else:
-            p = np.asarray(word.p, dtype=float)
-            weight = float(np.exp(-scenario.beta * p @ params.r))
-            oracle = weight * c_m * laplace_quadrature(
-                thread.measure(m), params, np.asarray(word.n)
-            )
+        oracle = psi_oracle(thread, word)
         gap = abs(value - oracle)
         lines.append(f"oracle      = {oracle.real:.17g} {oracle.imag:+.17g}i")
         lines.append(f"|difference| = {gap:.3e} (tolerance {args.tol:.3e})")

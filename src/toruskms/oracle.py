@@ -6,6 +6,8 @@ a route that shares no algebra with the closed form:
 * ``laplace_quadrature`` integrates the Laplace-weighted character integral
   over a truncated box with composite Gauss-Legendre panels, checking the
   reciprocal-linear-factor multiplier of ``nu_from_mu``.
+* ``psi_oracle`` is the quadrature route to a thread's state on one word,
+  weight times c_m times ``laplace_quadrature``, checking ``psi_eval``.
 * ``fock_state_eval`` sums the diagonal expectation of a word over the
   truncated occupation box [0, P]^k, checking ``state_eval`` with
   ``nu_from_kappa`` inputs; the truncation error carries an exact geometric
@@ -34,6 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .solenoid_limit import SolenoidMeasureThread, level_constants
 from .subinvariance import BlockParams, nu_from_mu
 from .toeplitz_algebra import AlgebraElement, Word
 from .torus_measure import AtomicMeasure, TorusMeasure
@@ -43,6 +46,7 @@ __all__ = [
     "QuadratureSpec",
     "FockTruncation",
     "laplace_quadrature",
+    "psi_oracle",
     "fock_state_eval",
     "fock_tail_bound",
     "truncated_inverse_moment",
@@ -134,6 +138,22 @@ def laplace_quadrature(
         z = complex(-params.beta * params.r[j], TWO_PI * t[j])
         value *= _axis_integral(z, spec.widths[j], spec.panels, spec.nodes)
     return value * mu.moment(n)
+
+
+def psi_oracle(thread: SolenoidMeasureThread, w: Word) -> complex:
+    """The thread's state on one word by quadrature, to check psi_eval against.
+
+    [p == q] e^(-beta p.r^m) c_m times laplace_quadrature of mu_m at n, where
+    c_m is the level's mass constant; the closed-form factors of psi_eval are
+    never formed.
+    """
+    scenario, m = thread.scenario, w.level
+    params = BlockParams.at_level(scenario, m)
+    c_m = level_constants(scenario).c[m - 1]
+    if w.p != w.q:
+        return 0j
+    weight = float(np.exp(-scenario.beta * np.asarray(w.p, dtype=float) @ params.r))
+    return weight * c_m * laplace_quadrature(thread.measure(m), params, np.asarray(w.n))
 
 
 @dataclass(frozen=True)

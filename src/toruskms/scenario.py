@@ -91,15 +91,15 @@ class LevelData:
         k, d = theta.shape
         if D.shape != (k,) or E.shape != (d, d) or r.shape != (k,):
             raise ValueError("level data shapes are inconsistent")
-        D_int = np.rint(np.asarray(D, dtype=float)).astype(np.int64)
-        E_int = np.rint(np.asarray(E, dtype=float)).astype(np.int64)
-        if np.max(np.abs(np.asarray(D, dtype=float) - D_int)) > 1e-9:
+        D, E = np.asarray(D, dtype=float), np.asarray(E, dtype=float)
+        # written so that a NaN or an infinity fails the gate
+        if not np.max(np.abs(D - np.rint(D))) <= 1e-9:
             raise ValueError("D must have integer diagonal entries")
-        if np.max(np.abs(np.asarray(E, dtype=float) - E_int)) > 1e-9:
+        if not np.max(np.abs(E - np.rint(E))) <= 1e-9:
             raise ValueError("E must be an integer matrix")
         object.__setattr__(self, "theta", _freeze(theta))
-        object.__setattr__(self, "D", _freeze(D_int))
-        object.__setattr__(self, "E", _freeze(E_int))
+        object.__setattr__(self, "D", _freeze(np.rint(D).astype(np.int64)))
+        object.__setattr__(self, "E", _freeze(np.rint(E).astype(np.int64)))
         object.__setattr__(self, "r", _freeze(r))
 
     @property
@@ -175,7 +175,8 @@ def derive_next_level(current: LevelData, next_D, next_E) -> LevelData:
     """
     next_D = np.atleast_1d(np.asarray(next_D))
     next_E = np.atleast_2d(np.asarray(next_E))
-    if round(abs(float(np.linalg.det(next_E.astype(float))))) == 0:
+    # a non-finite E has no determinant to read: LevelData below rejects it
+    if np.all(np.isfinite(next_E)) and round(abs(float(np.linalg.det(next_E.astype(float))))) == 0:
         raise SingularE("next level's E matrix is singular")
     E_inv = np.linalg.inv(current.E.astype(float))
     theta_next = (current.theta / current.D[:, None].astype(float)) @ E_inv

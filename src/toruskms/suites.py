@@ -139,6 +139,11 @@ def _worst(*residuals) -> float:
     return float(np.max(residuals))
 
 
+def _residual_row(check_id: str, level: int, quantity: str, residual: float, bound: float):
+    """A row for a residual measured against 0."""
+    return _row(check_id, level, quantity, residual, 0.0, residual, bound)
+
+
 # ---------------------------------------------------------------------------
 # Random ingredient helpers.  beta and r are kept away from 0 so quadrature
 # windows and occupation boxes stay modest; theta entries are O(1).
@@ -158,11 +163,15 @@ def _random_atomic(rng, d: int, atoms: int = 3, mass: float = 1.0) -> AtomicMeas
     return AtomicMeasure(points, weights)
 
 
+def _ints(rng, low: int, high: int, size: int) -> Tuple[int, ...]:
+    """size integers drawn from [low, high) as a tuple of Python ints."""
+    return tuple(rng.integers(low, high, size=size).tolist())
+
+
 def _random_word(rng, k: int, d: int, level: int, diagonal: bool = False) -> Word:
-    p = rng.integers(0, 4, size=k)
-    q = p if diagonal else rng.integers(0, 4, size=k)
-    n = rng.integers(-3, 4, size=d)
-    return Word(p=p, n=n, q=q, level=level)
+    p = _ints(rng, 0, 4, k)
+    q = p if diagonal else _ints(rng, 0, 4, k)
+    return Word(p=p, n=_ints(rng, -3, 4, d), q=q, level=level)
 
 
 def _random_element(rng, k: int, d: int, level: int, terms: int = 2) -> AlgebraElement:
@@ -199,14 +208,10 @@ def _check_transform_oracle(scenario, thread, cfg, rng) -> List[StateReport]:
     # the row carries only the verdict, not the measured time: reports must be
     # byte-identical across runs of the same seed and config
     return [
-        _row(
-            "C01",
-            0,
+        _residual_row(
+            "C01", 0,
             f"max |closed - quadrature| over {count} moments, {len(_C01_DIMS)} random blocks",
-            worst,
-            0.0,
-            worst,
-            cfg.oracle_tol,
+            worst, cfg.oracle_tol,
         ),
         _row(
             "C01",
@@ -242,25 +247,17 @@ def _check_mass_identities(scenario, thread, cfg, rng) -> List[StateReport]:
             worst_bwd, abs(back.total_mass() - nu.total_mass() * params.mass_factor())
         )
     rows.append(
-        _row(
-            "C02",
-            0,
+        _residual_row(
+            "C02", 0,
             "max |  ||nu_mu|| - ||mu|| / prod(beta r_j)  | over 10 random blocks",
-            worst_fwd,
-            0.0,
-            worst_fwd,
-            CLOSED_FORM_TOL,
+            worst_fwd, CLOSED_FORM_TOL,
         )
     )
     rows.append(
-        _row(
-            "C02",
-            0,
+        _residual_row(
+            "C02", 0,
             "max |  ||mu_nu|| - ||nu|| * prod(beta r_j)  | over 10 random blocks",
-            worst_bwd,
-            0.0,
-            worst_bwd,
-            CLOSED_FORM_TOL,
+            worst_bwd, CLOSED_FORM_TOL,
         )
     )
     for m in range(1, scenario.depth + 1):
@@ -312,15 +309,11 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
                 abs(nu2_back.moment(n) - nu2.moment(n)),
             )
     rows = [
-        _row(
-            "C03",
-            0,
+        _residual_row(
+            "C03", 0,
             f"max round-trip moment defect over {trials} random blocks "
             "(laplace and geometric pairs, both orders)",
-            worst,
-            0.0,
-            worst,
-            ENGINE_TOL,
+            worst, ENGINE_TOL,
         )
     ]
     for m in range(1, scenario.depth + 1):
@@ -332,14 +325,10 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
         for n in index_box(scenario.dims.d, min(cfg.moment_box, 3)):
             level_worst = _worst(level_worst, abs(back.moment(n) - mu_m.moment(n)))
         rows.append(
-            _row(
-                "C03",
-                m,
+            _residual_row(
+                "C03", m,
                 "thread level round trip mu -> nu -> mu",
-                level_worst,
-                0.0,
-                level_worst,
-                ENGINE_TOL,
+                level_worst, ENGINE_TOL,
             )
         )
     return rows
@@ -432,15 +421,11 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
             state = nu_m if i % 2 == 0 else nu_rand
             worst = _worst(worst, kms_residual(state, params, a, b))
         rows.append(
-            _row(
-                "C05",
-                m,
+            _residual_row(
+                "C05", m,
                 f"max KMS residual |phi(ab) - phi(b a_twisted)| over {cfg.samples} "
                 "word pairs (thread state and a random atomic state)",
-                worst,
-                0.0,
-                worst,
-                ENGINE_TOL,
+                worst, ENGINE_TOL,
             )
         )
     return rows
@@ -474,26 +459,18 @@ def _check_fock_agreement(scenario, thread, cfg, rng) -> List[StateReport]:
             numeric = fock_state_eval(kappa, params, a, trunc)
             worst = _worst(worst, abs(closed - numeric))
         rows.append(
-            _row(
-                "C06",
-                0,
+            _residual_row(
+                "C06", 0,
                 f"setup {i + 1} (d={d}, k={k}, box={trunc.box}): max |state - fock| "
                 f"over {words_per} words",
-                worst,
-                0.0,
-                worst,
-                bound,
+                worst, bound,
             )
         )
     rows.append(
-        _row(
-            "C06",
-            0,
+        _residual_row(
+            "C06", 0,
             f"closed-form tail bound at the default box ({setups} setups)",
-            worst_tail,
-            0.0,
-            worst_tail,
-            POSITIVITY_TOL,
+            worst_tail, POSITIVITY_TOL,
         )
     )
     return rows
@@ -512,14 +489,10 @@ def _check_level_consistency(scenario, thread, cfg, rng) -> List[StateReport]:
             w = _random_word(rng, k, d, m, diagonal=bool(rng.integers(0, 2)))
             worst = _worst(worst, consistency_residual(thread, w))
         rows.append(
-            _row(
-                "C07",
-                m,
+            _residual_row(
+                "C07", m,
                 f"max |psi(embedded word) - psi(word)| over {cfg.samples} words",
-                worst,
-                0.0,
-                worst,
-                ENGINE_TOL,
+                worst, ENGINE_TOL,
             )
         )
     return rows
@@ -547,14 +520,10 @@ def _check_reconciliation(scenario, thread, cfg, rng) -> List[StateReport]:
         a_value, b_value = bhs_reconciliation(y, theta, r, beta, n)
         worst = _worst(worst, abs(a_value - b_value))
     return [
-        _row(
-            "C08",
-            0,
+        _residual_row(
+            "C08", 0,
             "max |resolvent moment - wrapped density route| over 20 random tuples",
-            worst,
-            0.0,
-            worst,
-            ENGINE_TOL,
+            worst, ENGINE_TOL,
         )
     ]
 
@@ -581,15 +550,11 @@ def _check_geometric_inverse(scenario, thread, cfg, rng) -> List[StateReport]:
             recovered = truncated_inverse_moment(kappa, params, n, box)
             worst = _worst(worst, abs(recovered - nu.moment(n)))
         rows.append(
-            _row(
-                "C09",
-                0,
+            _residual_row(
+                "C09", 0,
                 f"setup {i + 1} (d={d}, k={k}, box={box}): max |truncated series - nu| "
                 "over 10 moments",
-                worst,
-                0.0,
-                worst,
-                bound,
+                worst, bound,
             )
         )
     return rows
@@ -672,23 +637,26 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         a = _random_element(rng, k, d, m)
         b = _random_element(rng, k, d, m)
         c = _random_element(rng, k, d, m)
-        left = multiply(multiply(a, b, theta), c, theta)
+        # the engine is deterministic, so ab and alpha_t1(a) are formed once
+        ab = multiply(a, b, theta)
+        left = multiply(ab, c, theta)
         right = multiply(a, multiply(b, c, theta), theta)
         worst = _worst(worst, left.sup_coefficient_distance(right))
-        inv_l = adjoint(multiply(a, b, theta))
+        inv_l = adjoint(ab)
         inv_r = multiply(adjoint(b), adjoint(a), theta)
         worst = _worst(worst, inv_l.sup_coefficient_distance(inv_r))
         t1 = float(rng.uniform(-2.0, 2.0))
         t2 = float(rng.uniform(-2.0, 2.0))
-        one = apply_dynamics(apply_dynamics(a, t1, r), t2, r)
+        a_t1 = apply_dynamics(a, t1, r)
+        one = apply_dynamics(a_t1, t2, r)
         two = apply_dynamics(a, t1 + t2, r)
         worst = _worst(worst, one.sup_coefficient_distance(two))
-        hom_l = apply_dynamics(multiply(a, b, theta), t1, r)
-        hom_r = multiply(apply_dynamics(a, t1, r), apply_dynamics(b, t1, r), theta)
+        hom_l = apply_dynamics(ab, t1, r)
+        hom_r = multiply(a_t1, apply_dynamics(b, t1, r), theta)
         worst = _worst(worst, hom_l.sup_coefficient_distance(hom_r))
         # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n
-        p = tuple(int(v) for v in rng.integers(0, 4, size=k))
-        n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
+        p = _ints(rng, 0, 4, k)
+        n = _ints(rng, -3, 4, d)
         u_word = AlgebraElement.from_word(Word(p=(0,) * k, n=n, q=(0,) * k, level=m))
         v_word = AlgebraElement.from_word(Word(p=p, n=(0,) * d, q=(0,) * k, level=m))
         tn = np.mod(theta, 1.0) @ np.asarray(n, dtype=float)
@@ -697,15 +665,11 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         comm_r = phase * multiply(v_word, u_word, theta)
         worst = _worst(worst, comm_l.sup_coefficient_distance(comm_r))
     rows = [
-        _row(
-            "C11",
-            0,
+        _residual_row(
+            "C11", 0,
             f"engine fuzz over {cfg.fuzz_count} instances (associativity, involution, "
             "dynamics group law and homomorphism, rotation relation)",
-            worst,
-            0.0,
-            worst,
-            FUZZ_TOL,
+            worst, FUZZ_TOL,
         )
     ]
 
@@ -723,8 +687,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
     worst_dense = 0.0
     for _ in range(20):
         wa, wb = (
-            Word(p=rng.integers(0, 2, size=k), n=rng.integers(-2, 3, size=d),
-                 q=rng.integers(0, 2, size=k), level=1)
+            Word(p=_ints(rng, 0, 2, k), n=_ints(rng, -2, 3, d), q=_ints(rng, 0, 2, k), level=1)
             for _ in range(2)
         )
         a = AlgebraElement.from_word(wa, complex(rng.normal(), rng.normal()))
@@ -735,15 +698,11 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         diff = (mat_a @ mat_b - mat_ab)[:, safe_cols]
         worst_dense = _worst(worst_dense, float(np.max(np.abs(diff))))
     rows.append(
-        _row(
-            "C11",
-            1,
+        _residual_row(
+            "C11", 1,
             "dense operator check of 20 products at box P=3 "
             "(columns whose orbits stay inside the box)",
-            worst_dense,
-            0.0,
-            worst_dense,
-            FUZZ_TOL,
+            worst_dense, FUZZ_TOL,
         )
     )
     return rows

@@ -14,10 +14,12 @@ single word with an explicit phase:
 
 with j = q v p'.  Elements are dictionaries word -> coefficient kept in this
 normal form; coefficients with modulus below 1e-15 are pruned.  Words hold
-tuples of Python ints and the normal form is computed on them directly: the
-exponents by tuple arithmetic, theta.n once per word, and the phases of one
-product call as stacked numpy dot products (rounded as single ones would be)
-through a single exponential of an array.
+tuples of Python ints and cache their hash, and the engine works on them in
+plain Python: theta is reduced mod 1 once per call, theta.n is summed once per
+word, and each pair's phase is a float sum of integer-times-float products
+under one cmath.exp.  These round every product where a BLAS dot may fuse
+multiply-adds (and Python 3.12 and later compensate the sum), so at k >= 2 a
+phase may differ from numpy's in the last bit; at k = 1 each dot is one product.
 
 The gauge dynamics acts diagonally, alpha_t(V_p U_n V*_q) =
 e^(i t (p-q).r) V_p U_n V*_q, for real or complex t.  Given a measure nu on
@@ -31,10 +33,11 @@ identically for this functional whatever nu is.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -58,7 +61,7 @@ __all__ = [
 
 PRUNE_TOL = 1e-15
 
-TWO_PI_I = 2j * np.pi
+TWO_PI_I = 2j * math.pi
 
 
 class LevelMismatch(Exception):
@@ -81,7 +84,7 @@ def _int_tuple(values, what: str) -> Tuple[int, ...]:
     return tuple(_int_entry(v, what) for v in np.atleast_1d(np.asarray(values)).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
     """Spanning word V_p U_n V*_q at a level; p, q in N^k, n in Z^d."""
 
@@ -90,21 +93,27 @@ class Word:
     q: Tuple[int, ...]
     level: int
 
-    def __post_init__(self):
-        p, n, q, level = self.p, self.n, self.q, self.level
+    def __init__(self, p, n, q, level):
         # the engine builds words from tuples of Python ints: those need no conversion
         fast = type(level) is int and type(p) is type(n) is type(q) is tuple
-        if not (fast and all(type(v) is int for v in p + n + q)):
+        if not (fast and {*map(type, p + n + q)} <= {int}):
             p, n, q = _int_tuple(p, "p"), _int_tuple(n, "n"), _int_tuple(q, "q")
             level = _int_entry(level, "level")
-            for name, value in zip(("p", "n", "q", "level"), (p, n, q, level)):
-                object.__setattr__(self, name, value)
-        if min(p + q, default=0) < 0:
+        if min((0, *p, *q)) < 0:
             raise ValueError(f"p and q must be entrywise nonnegative, got {p} and {q}")
         if len(p) != len(q):
             raise ValueError("p and q must have the same length")
         if level < 1:
             raise ValueError("levels are 1-based")
+        # the instance is frozen: its fields and cached hash are written once, here
+        self.__dict__.update(p=p, n=n, q=q, level=level, _hash=hash((p, n, q, level)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __setstate__(self, state):
+        # copies and pickles (older ones hold no hash) rebuild the word through the checks
+        self.__init__(state["p"], state["n"], state["q"], state["level"])
 
     @classmethod
     def identity(cls, k: int, d: int, level: int = 1) -> "Word":
@@ -189,13 +198,21 @@ def join(p, q) -> Tuple[int, ...]:
     return tuple(map(max, p, q))
 
 
-def _row_dots(rows, floats: np.ndarray) -> np.ndarray:
-    """u @ v for each row u of rows and v of floats (or v = floats when 1-d).
-
-    One stacked matmul, which takes the same BLAS dot per row as ``u @ v``
-    does alone, so every phase rounds as a product of two single words does.
-    """
-    return np.matmul(np.array(rows, dtype=float)[:, None, :], floats[..., None])[:, 0, 0]
+def _theta_dots(theta, words):
+    """theta mod 1 dotted with each word's n; ValueError unless theta is k x d for all."""
+    # every phase exponent pairs theta with integer vectors on both sides, so
+    # shifting entries by integers never changes a coefficient; reducing mod 1
+    # keeps the exponents O(1) and the rounding error off the phases
+    theta = np.mod(np.atleast_2d(np.asarray(theta, dtype=float)), 1.0)
+    if theta.ndim != 2:
+        raise ValueError(f"theta must be a k x d matrix, got shape {theta.shape}")
+    (k, d), rows = theta.shape, theta.tolist()
+    out = []
+    for w in words:
+        if len(w.p) != k or len(w.n) != d:
+            raise ValueError(f"theta is {k} x {d} but {w} has k = {len(w.p)}, d = {len(w.n)}")
+        out.append(tuple([sum(map(mul, row, w.n)) for row in rows]))
+    return out
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
@@ -204,32 +221,22 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
     theta is the level's k x d rotation matrix; each pair of words collapses
     to a single word via the join relation, with phase
     e^(2 pi i [(j - q).theta n + (j - p').theta n']) where j = q v p'.
+    Raises ValueError unless theta is k x d for every word of a and b.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level} differ")
-    if not (a.terms and b.terms):
-        return AlgebraElement(a.level, {})
-    # every phase exponent pairs theta with integer vectors on both sides, so
-    # shifting entries by integers never changes a coefficient; reducing mod 1
-    # here keeps the exponents O(1) and the rounding error off the phases
-    theta = np.mod(np.atleast_2d(np.asarray(theta, dtype=float)), 1.0)
-    # theta.n of a's words, then b's, one stacked matmul that rounds as theta @ n
-    ns = np.array([w.n for w in a.terms] + [w.n for w in b.terms], dtype=float)
-    tn = np.matmul(theta, ns[..., None])[..., 0]
-    products, shifts, tn_rows = [], [], []
-    for ia, (w1, c1) in enumerate(a.terms.items()):
-        for ib, (w2, c2) in enumerate(b.terms.items(), start=len(a.terms)):
-            j = tuple(map(max, w1.q, w2.p))
-            up, down = tuple(map(sub, j, w1.q)), tuple(map(sub, j, w2.p))
-            p, n = tuple(map(add, w1.p, up)), tuple(map(add, w1.n, w2.n))
-            products.append((Word(p, n, tuple(map(add, w2.q, down)), a.level), c1 * c2))
-            shifts += (up, down)
-            tn_rows += (ia, ib)
-    dots = _row_dots(shifts, tn.take(tn_rows, axis=0))
-    phases = dots[0::2] + dots[1::2]
+    tn = _theta_dots(theta, [*a.terms, *b.terms])
+    left = [(w.p, w.n, w.q, c, t) for (w, c), t in zip(a.terms.items(), tn)]
+    right = [(w.p, w.n, w.q, c, t) for (w, c), t in zip(b.terms.items(), tn[len(left):])]
     out: Dict[Word, complex] = {}
-    for (word, coeff), phase in zip(products, np.exp(TWO_PI_I * phases).tolist()):
-        out[word] = out.get(word, 0j) + coeff * phase
+    for p1, n1, q1, c1, tn1 in left:
+        for p2, n2, q2, c2, tn2 in right:
+            j = tuple(map(max, q1, p2))
+            up, down = tuple(map(sub, j, q1)), tuple(map(sub, j, p2))
+            p, n = tuple(map(add, p1, up)), tuple(map(add, n1, n2))
+            word = Word(p, n, tuple(map(add, q2, down)), a.level)
+            phase = sum(map(mul, up, tn1)) + sum(map(mul, down, tn2))
+            out[word] = out.get(word, 0j) + c1 * c2 * cmath.exp(TWO_PI_I * phase)
     return AlgebraElement(a.level, out)
 
 
@@ -246,13 +253,26 @@ def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
     """Gauge dynamics alpha_t, scaling each word by e^(i t (p-q).r).
 
     t may be complex; t = i*beta yields the KMS twist e^(-beta (p-q).r).
+    Raises ValueError unless r has length k for every word.
     """
-    if not a.terms:
-        return AlgebraElement(a.level, {})
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    gaps = _row_dots([tuple(map(sub, w.p, w.q)) for w in a.terms], r)
-    factors = np.exp(1j * complex(t) * gaps).tolist()
-    return AlgebraElement(a.level, {w: c * f for (w, c), f in zip(a.terms.items(), factors)})
+    if r.ndim != 1:
+        raise ValueError(f"r must be a vector, got shape {r.shape}")
+    r, it = r.tolist(), 1j * complex(t)
+    out = {}
+    for w, c in a.terms.items():
+        if len(w.p) != len(r):
+            raise ValueError(f"r has length {len(r)} but {w} has k = {len(w.p)}")
+        out[w] = c * _exp(it * sum(map(mul, map(sub, w.p, w.q), r)))
+    return AlgebraElement(a.level, out)
+
+
+def _exp(z: complex) -> complex:
+    """cmath.exp, except that a too large real part overflows to infinity as in numpy."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return complex(np.exp(z))
 
 
 def state_eval(

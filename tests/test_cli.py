@@ -332,3 +332,35 @@ def test_state_on_nan_theta_exits_one(tmp_path, capsys):
     bad = _poisoned_planar(tmp_path, "theta")
     assert main(["state", "--scenario", str(bad), "--word", "V[0,0] U[1,0] V*[0,0] @ 2"]) == 1
     assert "NON-FINITE VALUE" in capsys.readouterr().out
+
+
+def _line_with_nan(tmp_path, field: str):
+    """The canonical line tower with level 2's D or E entry replaced by NaN."""
+    obj = json.loads((SCENARIOS / "line_tower.json").read_text())
+    obj[field][1] = [float("nan")] if field == "D" else [[float("nan")]]
+    path = tmp_path / f"line_nan_{field}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("D", "D must have integer diagonal entries"), ("E", "E must be an integer matrix")],
+    ids=["D", "E"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["state", "--word", "V[0] U[1] V*[0] @ 2", "--oracle"],
+        ["suite", "--suite", "consistency", "--samples", "5"],
+    ],
+    ids=["validate", "state-oracle", "suite"],
+)
+def test_nan_in_D_or_E_is_a_bad_scenario(tmp_path, capsys, field, message, command):
+    bad = _line_with_nan(tmp_path, field)
+    assert main([command[0], "--scenario", str(bad), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad scenario in ") and message in captured.err
+    assert captured.err.count("\n") == 1

@@ -5,9 +5,11 @@ configuration.  ``report_*_reduced.json`` predate the batched moment oracle,
 which may round a moment differently in the last bits, so numbers are
 compared to 1e-12 and every row must keep its identity and verdict.
 ``report_*_rows_parent.json`` predate the int-tuple word engine, which must
-not move any row: their checks are compared field by field with ``==``.  The
-config echo is never compared, because it holds the paths the report was run
-with.
+not move any row: their checks are compared field by field with ``==``.
+``report_line_seed302_rows_parent.json`` predates the plain-Python word
+engine; at d = k = 1 every phase dot is a single product, so that engine must
+match it bit for bit too.  The config echo is never compared, because it
+holds the paths the report was run with.
 """
 
 from __future__ import annotations
@@ -43,15 +45,24 @@ def test_report_matches_frozen_rows(tower, thread, tmp_path):
             assert abs(new[key] - old[key]) <= 1e-12, (old["check_id"], old["level"], key)
 
 
-@pytest.mark.parametrize("tower, thread", [("line", "point_thread.json"), ("planar", None)])
-def test_report_rows_equal_parent_rows_exactly(tower, thread, tmp_path):
+@pytest.mark.parametrize(
+    "tower, thread, seed, frozen_name",
+    [
+        pytest.param("line", "point_thread.json", 0, "report_line_rows_parent.json",
+                     id="line-point_thread.json"),
+        pytest.param("planar", None, 0, "report_planar_rows_parent.json", id="planar-None"),
+        pytest.param("line", "point_thread.json", 302, "report_line_seed302_rows_parent.json",
+                     id="line-point_thread.json-seed302"),
+    ],
+)
+def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, frozen_name, tmp_path):
     out = tmp_path / "report.json"
     args = ["report", "--scenario", str(ROOT / "scenarios" / f"{tower}_tower.json"),
-            "--format", "json", "--out", str(out), *REDUCED]
+            "--format", "json", "--out", str(out), "--seed", str(seed), *REDUCED]
     if thread is not None:
         args += ["--thread", str(ROOT / "scenarios" / thread)]
     assert main(args) == 0
     got = json.loads(out.read_text())
-    frozen = json.loads((ROOT / "tests" / "data" / f"report_{tower}_rows_parent.json").read_text())
+    frozen = json.loads((ROOT / "tests" / "data" / frozen_name).read_text())
     assert got["overall_pass"] == frozen["overall_pass"]
     assert got["checks"] == frozen["checks"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +318,59 @@ def test_word_from_numpy_integers_equals_word_from_ints():
     for other in (arrays, scalars, integral_floats):
         assert other == ints and hash(other) == hash(ints)
         assert all(type(v) is int for v in other.p + other.n + other.q + (other.level,))
+
+
+# Word(p=(1, 0), n=(3, -2), q=(0, 2), level=2) as pickled (protocols 4 and 2)
+# before words cached their hash: the state holds the four fields only.
+_OLD_WORD_PICKLES = (
+    b"\x80\x04\x95Y\x00\x00\x00\x00\x00\x00\x00\x8c\x19toruskms.toeplitz_algebra\x94\x8c\x04"
+    b"Word\x94\x93\x94)\x81\x94}\x94(\x8c\x01p\x94K\x01K\x00\x86\x94\x8c\x01n\x94K\x03J\xfe"
+    b"\xff\xff\xff\x86\x94\x8c\x01q\x94K\x00K\x02\x86\x94\x8c\x05level\x94K\x02ub.",
+    b"\x80\x02ctoruskms.toeplitz_algebra\nWord\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00pq"
+    b"\x03K\x01K\x00\x86q\x04X\x01\x00\x00\x00nq\x05K\x03J\xfe\xff\xff\xff\x86q\x06X\x01"
+    b"\x00\x00\x00qq\x07K\x00K\x02\x86q\x08X\x05\x00\x00\x00levelq\tK\x02ub.",
+)
+
+
+def test_word_pickle_and_copy_keep_equality_and_hash():
+    w = tk.Word(p=(1, 0), n=(3, -2), q=(0, 2), level=2)
+    copies = [copy.copy(w), copy.deepcopy(w)]
+    copies += [pickle.loads(pickle.dumps(w, protocol=proto)) for proto in (2, 4, 5)]
+    copies += [pickle.loads(data) for data in _OLD_WORD_PICKLES]
+    for other in copies:
+        assert other == w and hash(other) == hash(w)
+        assert {other: 1.0}[w] == 1.0
+
+
+def test_multiply_rejects_theta_of_the_wrong_shape_for_any_word():
+    w1 = tk.Word(p=(0,), n=(1,), q=(0,), level=1)
+    w2 = tk.Word(p=(1,), n=(1, 2), q=(0,), level=1)  # d = 2 beside a d = 1 word
+    mixed = tk.AlgebraElement(1, {w1: 1.0, w2: 1.0})
+    plain = tk.AlgebraElement.from_word(w1)
+    zero = tk.AlgebraElement(1, {})
+    for theta in (_theta(0.3), np.full((1, 2), 0.3)):
+        for a, b in ((mixed, plain), (plain, mixed), (mixed, zero), (zero, mixed)):
+            with pytest.raises(ValueError):
+                tk.multiply(a, b, theta)
+    for theta in (np.full((2, 1), 0.3), np.full((1, 2), 0.3), np.full((1, 1, 1), 0.3)):
+        with pytest.raises(ValueError):
+            tk.multiply(plain, plain, theta)
+
+
+def test_apply_dynamics_rejects_r_of_the_wrong_length():
+    a = tk.AlgebraElement.from_word(tk.Word(p=(1, 0), n=(1,), q=(0, 2), level=1))
+    for r in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            tk.apply_dynamics(a, 0.5, r)
+    mixed = tk.AlgebraElement(1, {tk.Word(p=(1,), n=(1,), q=(0,), level=1): 1.0,
+                                  tk.Word(p=(1, 0), n=(1,), q=(0, 0), level=1): 1.0})
+    with pytest.raises(ValueError):
+        tk.apply_dynamics(mixed, 0.5, [1.0])
+
+
+def test_apply_dynamics_overflows_to_infinity_instead_of_raising():
+    # the KMS twist e^(-beta (p-q).r) of a valid but extreme level exceeds a double
+    a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(1,), q=(3,), level=1))
+    with np.errstate(over="ignore"):
+        twisted = tk.apply_dynamics(a, 1j * 1.0, [300.0])
+    assert not np.isfinite(twisted.coefficient(tk.Word(p=(0,), n=(1,), q=(3,), level=1)))

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 a verification failed or a constraint is violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -56,13 +57,18 @@ from .suites import (
     render_csv,
     render_json,
     render_text,
-    run_checks,
     run_suite,
 )
 from .toeplitz_algebra import parse_word
 from .torus_measure import write_moment_csv
 
-TRANSFORMS = ("nu-from-mu", "mu-from-nu", "nu-from-kappa", "kappa-from-nu")
+# transform name -> function of (measure, params)
+TRANSFORMS = {
+    "nu-from-mu": functools.partial(nu_from_mu, check=False),
+    "mu-from-nu": functools.partial(mu_from_nu, check=False),
+    "nu-from-kappa": nu_from_kappa,
+    "kappa-from-nu": kappa_from_nu,
+}
 
 
 class InputError(Exception):
@@ -113,9 +119,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _parse_levels(spec: Optional[str], depth: int) -> List[int]:
-    if spec is None:
-        return list(range(1, depth + 1))
+def _parse_levels(spec: str, depth: int) -> List[int]:
     out = []
     for piece in spec.split(","):
         piece = piece.strip()
@@ -191,6 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="run every check")
     common(p_rep)
     _report_options(p_rep, default_format="json")
+    p_rep.set_defaults(suite="all")
 
     return parser
 
@@ -257,15 +262,7 @@ def _cmd_transform(args) -> int:
     if not 1 <= args.level <= scenario.depth:
         raise InputError(f"level {args.level} outside 1..{scenario.depth}")
     params = BlockParams.at_level(scenario, args.level)
-    base = thread.measure(args.level)
-    if args.transform == "nu-from-mu":
-        out = nu_from_mu(base, params, check=False)
-    elif args.transform == "mu-from-nu":
-        out = mu_from_nu(base, params, check=False)
-    elif args.transform == "nu-from-kappa":
-        out = nu_from_kappa(base, params)
-    else:
-        out = kappa_from_nu(base, params)
+    out = TRANSFORMS[args.transform](thread.measure(args.level), params)
     _emit(write_moment_csv(out, args.moment_box), args.out)
     return 0
 
@@ -280,9 +277,9 @@ def _suite_config(args) -> SuiteConfig:
     )
 
 
-def _config_echo(args, suite_name: str) -> dict:
+def _config_echo(args) -> dict:
     return {
-        "suite": suite_name,
+        "suite": args.suite,
         "scenario": args.scenario,
         "thread": args.thread,
         "seed": args.seed,
@@ -293,38 +290,23 @@ def _config_echo(args, suite_name: str) -> dict:
     }
 
 
-def _render(rows, args, suite_name: str) -> str:
+def _render(rows, args) -> str:
     if args.format == "json":
-        return render_json(rows, _config_echo(args, suite_name))
+        return render_json(rows, _config_echo(args))
     if args.format == "csv":
         return render_csv(rows)
     return render_text(rows)
 
 
-def _filter_levels(rows, levels: Optional[List[int]]):
-    if levels is None:
-        return rows
-    keep = set(levels)
-    return [row for row in rows if row.level == 0 or row.level in keep]
-
-
-def _cmd_suite(args) -> int:
+def _cmd_checks(args) -> int:
+    """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
     scenario = _load_scenario(args.scenario)
     thread = _load_thread(scenario, args.thread)
-    cfg = _suite_config(args)
-    rows = run_suite(args.suite, scenario, thread, cfg)
-    rows = _filter_levels(rows, _parse_levels(args.levels, scenario.depth) if args.levels else None)
-    _emit(_render(rows, args, args.suite), args.out)
-    return 0 if overall_pass(rows) else 1
-
-
-def _cmd_report(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    thread = _load_thread(scenario, args.thread)
-    cfg = _suite_config(args)
-    rows = run_checks(SUITES["all"], scenario, thread, cfg)
-    rows = _filter_levels(rows, _parse_levels(args.levels, scenario.depth) if args.levels else None)
-    _emit(_render(rows, args, "all"), args.out)
+    rows = run_suite(args.suite, scenario, thread, _suite_config(args))
+    if args.levels:
+        keep = set(_parse_levels(args.levels, scenario.depth))
+        rows = [row for row in rows if row.level == 0 or row.level in keep]
+    _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 
 
@@ -332,8 +314,8 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "state": _cmd_state,
     "transform": _cmd_transform,
-    "suite": _cmd_suite,
-    "report": _cmd_report,
+    "suite": _cmd_checks,
+    "report": _cmd_checks,
 }
 
 

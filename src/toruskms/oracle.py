@@ -194,6 +194,21 @@ class FockTruncation:
         return full - inside
 
 
+def _truncated_geometric_sum(params: BlockParams, n: np.ndarray, box: int) -> complex:
+    """sum over b in [0, box]^k of e^(-beta b.r) e^(2 pi i b.(theta n)).
+
+    The summand factorizes across axes, so this is the product over j of the
+    per-axis partial sums, each summed term by term.
+    """
+    t = params.theta_dot(n)
+    b = np.arange(box + 1, dtype=float)
+    value = 1.0 + 0j
+    for j in range(params.k):
+        terms = np.exp((-params.beta * params.r[j] + 2j * np.pi * t[j]) * b)
+        value *= complex(np.sum(terms))
+    return value
+
+
 def fock_tail_bound(params: BlockParams, kappa_mass: float, trunc: FockTruncation) -> float:
     """Bound on |full - truncated| diagonal sums: tail weight times ||kappa||."""
     return trunc.tail_weight(params) * abs(kappa_mass)
@@ -219,17 +234,12 @@ def fock_state_eval(
     """
     if trunc is None:
         trunc = FockTruncation.for_params(params)
-    b = np.arange(trunc.box + 1, dtype=float)
     total = 0j
     for w, c in a.terms.items():
         if w.p != w.q:
             continue
         n = np.asarray(w.n, dtype=np.int64)
-        t = params.theta_dot(n)
-        value = 1.0 + 0j
-        for j in range(params.k):
-            terms = np.exp((-params.beta * params.r[j] + 2j * np.pi * t[j]) * b)
-            value *= complex(np.sum(terms))
+        value = _truncated_geometric_sum(params, n, trunc.box)
         gap = float(np.asarray(w.p, dtype=np.int64) @ params.r)
         total += c * np.exp(-params.beta * gap) * value * kappa.moment(n)
     return complex(total)
@@ -246,13 +256,7 @@ def truncated_inverse_moment(
     recovered measure's mass, is geometric_tail_fraction.
     """
     n = np.asarray(n, dtype=np.int64)
-    t = params.theta_dot(n)
-    b = np.arange(int(box) + 1, dtype=float)
-    value = 1.0 + 0j
-    for j in range(params.k):
-        terms = np.exp((-params.beta * params.r[j] + 2j * np.pi * t[j]) * b)
-        value *= complex(np.sum(terms))
-    return value * kappa.moment(n)
+    return _truncated_geometric_sum(params, n, int(box)) * kappa.moment(n)
 
 
 def geometric_tail_fraction(params: BlockParams, box: int) -> float:

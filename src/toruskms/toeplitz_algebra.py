@@ -128,9 +128,10 @@ class AlgebraElement:
     """Finite linear combination of words at one level, in normal form.
 
     Terms with |coefficient| < 1e-15 are pruned on construction, so the zero
-    element has no terms.  Elements are immutable; arithmetic returns new
-    instances.  Addition and scalar multiplication are provided as operators,
-    while the word product lives in ``multiply`` because it needs theta.
+    element has no terms; a NaN coefficient is kept, never taken for zero.
+    Elements are immutable; arithmetic returns new instances.  Addition and
+    scalar multiplication are provided as operators, while the word product
+    lives in ``multiply`` because it needs theta.
     """
 
     __slots__ = ("level", "terms")
@@ -142,7 +143,7 @@ class AlgebraElement:
             if word.level != level:
                 raise LevelMismatch(f"term at level {word.level} in element at level {level}")
             c = complex(coeff)
-            if abs(c) >= PRUNE_TOL:
+            if not abs(c) < PRUNE_TOL:
                 cleaned[word] = c
         self.level = level
         self.terms = cleaned
@@ -176,10 +177,10 @@ class AlgebraElement:
         return self.terms.get(word, 0j)
 
     def sup_coefficient_distance(self, other: "AlgebraElement") -> float:
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(w, 0j) - other.terms.get(w, 0j)) for w in keys)
+        """Largest |coefficient difference| over the words of both; NaN if any is NaN."""
+        keys = self.terms.keys() | other.terms
+        gaps = [abs(self.terms.get(w, 0j) - other.terms.get(w, 0j)) for w in keys]
+        return max(gaps, default=0.0) if all(g == g for g in gaps) else math.nan
 
     def __repr__(self):
         if not self.terms:

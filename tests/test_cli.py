@@ -308,6 +308,18 @@ def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
     assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
 
 
+def test_engine_fuzz_fails_on_nan_theta(tmp_path):
+    # products under the NaN level keep NaN coefficients, so the fuzz row's
+    # sup distance is NaN and fails instead of passing as 0
+    bad = _poisoned_planar(tmp_path, "theta")
+    scenario = tk.scenario_from_json(json.loads(bad.read_text()))
+    thread = tk.build_thread(scenario, kind="uniform")
+    rows = tk.run_checks(["C11"], scenario, thread, tk.SuiteConfig(fuzz_count=20))
+    fuzz = rows[0]
+    assert fuzz.quantity.startswith("engine fuzz") and fuzz.status == "fail"
+    assert np.isnan(fuzz.residual)
+
+
 @pytest.mark.parametrize("where", ["theta", "r"])
 def test_report_on_non_finite_tower_is_a_one_line_violation(tmp_path, capsys, where):
     bad = _poisoned_planar(tmp_path, where)

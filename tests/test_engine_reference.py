@@ -1,17 +1,19 @@
 """The word engine against its per-pair numpy predecessor, kept here as the reference.
 
 The reference evaluates every pair of words with numpy vectors and one
-complex exponential per pair.  The engine builds words on int tuples and
-evaluates theta.n and the phase dot products of a whole call as stacked numpy
-matmuls, which take the same BLAS routine per row as the reference's single
-products, and then one exponential.  A numpy or BLAS build may still route a
-stacked product differently, so off d = k = 1 the comparison allows a
-tolerance fixed from the double precision unit before any run: 1e-13 times
-the sum of |c1| |c2| over the pairs (about 450 ulps of that scale), and for
-the dynamics 1e-13 times the sum of the reference coefficients' moduli.  At
-d = k = 1 every dot product has one term, so coefficients must be equal
-exactly.  Exponents up to 3 make the integer-times-theta products inexact, so
-a change in summation order shows up.
+complex exponential per pair.  The engine works in plain Python on the int
+tuples of its words: it reduces theta mod 1 once per call, sums theta.n once
+per word, and takes each pair's phase as a float sum of integer-times-float
+products under one cmath.exp.  numpy's dot products may go through BLAS,
+which can fuse multiply-adds, and Python 3.12 and later compensate a float
+sum, so off d = k = 1 a phase may differ in the last bits.  The comparison
+there allows a tolerance fixed from the double precision unit before any run:
+1e-13 times the sum of |c1| |c2| over the pairs (about 450 ulps of that
+scale), and for the dynamics 1e-13 times the sum of the reference
+coefficients' moduli.  At d = k = 1 every dot product has one term, so
+coefficients must be equal exactly.  Exponents up to 3 make the
+integer-times-theta products inexact, so a change in summation order shows
+up.
 """
 
 from __future__ import annotations

@@ -10,6 +10,17 @@ not move any row: their checks are compared field by field with ``==``.
 engine; at d = k = 1 every phase dot is a single product, so that engine must
 match it bit for bit too.  The config echo is never compared, because it
 holds the paths the report was run with.
+
+``report_line_reduced_parent.csv`` and ``.txt`` hold the bytes of the CSV and
+text renderings, which echo no paths, and are compared byte for byte.  They
+were written from the repository root by
+
+    PYTHONPATH=src python -m toruskms.cli report \
+        --scenario scenarios/line_tower.json --thread scenarios/point_thread.json \
+        --seed 0 --samples 10 --s-samples 5 --moment-box 3 \
+        --format csv --out tests/data/report_line_reduced_parent.csv
+
+and the same command with ``--format text`` and ``.txt``.
 """
 
 from __future__ import annotations
@@ -66,3 +77,14 @@ def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, frozen_name,
     frozen = json.loads((ROOT / "tests" / "data" / frozen_name).read_text())
     assert got["overall_pass"] == frozen["overall_pass"]
     assert got["checks"] == frozen["checks"]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("text", "txt")])
+def test_line_report_bytes_equal_frozen_bytes(fmt, suffix, tmp_path):
+    out = tmp_path / f"report.{suffix}"
+    args = ["report", "--scenario", str(ROOT / "scenarios" / "line_tower.json"),
+            "--thread", str(ROOT / "scenarios" / "point_thread.json"), "--seed", "0",
+            *REDUCED, "--format", fmt, "--out", str(out)]
+    assert main(args) == 0
+    frozen = ROOT / "tests" / "data" / f"report_line_reduced_parent.{suffix}"
+    assert out.read_bytes() == frozen.read_bytes()

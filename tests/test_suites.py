@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toruskms as tk
 
@@ -116,10 +122,51 @@ def test_worst_propagates_nan():
     from toruskms.suites import _worst
 
     assert max(0.5, float("nan")) == 0.5  # the builtin drops a NaN that is not first
-    assert np.isnan(_worst(0.5, float("nan")))
-    assert np.isnan(_worst(float("nan"), 0.5))
-    assert _worst(0.0, 2.0, 1.0) == 2.0
-    assert _worst(0.0, np.inf) == np.inf
+    assert np.isnan(_worst([float("nan")], start=0.5))
+    assert np.isnan(_worst([0.5], start=float("nan")))
+    assert _worst([2.0, 1.0]) == 2.0
+    assert _worst([np.inf]) == np.inf
+
+
+def test_worst_stops_at_the_first_nan():
+    from toruskms.suites import _worst
+
+    def fail():
+        raise AssertionError("the fold read past the first NaN")
+        yield
+
+    assert np.isnan(_worst(fail(), start=float("nan")))
+    assert np.isnan(_worst(itertools.chain([1.0, float("nan")], fail())))
+
+
+_FOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, except that any two NaNs match."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(_FOLD_VALUES, max_size=12), start=_FOLD_VALUES)
+def test_worst_is_a_left_fold_of_two_element_np_max(values, start):
+    from toruskms.suites import _worst
+
+    expected = functools.reduce(lambda a, b: float(np.max((a, b))), values, start)
+    assert _same_float(_worst(values, start), expected)
+    assert _same_float(_worst(iter(values), start), expected)
+
+
+def test_render_csv_without_rows_is_the_header_alone():
+    assert tk.render_csv([]) == (
+        "check_id,level,quantity,value_re,value_im,reference_re,reference_im,"
+        "residual,bound,pass\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -374,3 +374,15 @@ def test_apply_dynamics_overflows_to_infinity_instead_of_raising():
     with np.errstate(over="ignore"):
         twisted = tk.apply_dynamics(a, 1j * 1.0, [300.0])
     assert not np.isfinite(twisted.coefficient(tk.Word(p=(0,), n=(1,), q=(3,), level=1)))
+
+
+def test_nan_coefficient_is_kept_not_pruned():
+    # a NaN phase is not a coefficient below the pruning tolerance
+    a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(1,), q=(1,), level=1))
+    b = tk.AlgebraElement.from_word(tk.Word(p=(2,), n=(0,), q=(0,), level=1))
+    product = tk.multiply(a, b, [[float("nan")]])
+    assert len(product.terms) == 1
+    assert all(np.isnan(c) for c in product.terms.values())
+    reverse = tk.multiply(b, a, [[float("nan")]])
+    assert np.isnan(product.sup_coefficient_distance(reverse))
+    assert np.isnan(reverse.sup_coefficient_distance(product))

@@ -151,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="thread JSON file (default: uniform measures at every level)",
         )
-        p.add_argument("--seed", type=int, default=0, help="report seed (default 0)")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p_val = sub.add_parser("validate", help="check scenario (and thread) constraints")
@@ -171,12 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         help="cross-check the closed form against the quadrature oracle",
-    )
-    p_state.add_argument(
-        "--tol",
-        type=float,
-        default=ORACLE_TOL,
-        help="oracle agreement tolerance (default 1e-6)",
     )
 
     p_tr = sub.add_parser("transform", help="emit a transformed moment table as CSV")
@@ -201,14 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report_options(p, default_format="text"):
+    p.add_argument("--seed", type=int, default=0, help="report seed (default 0)")
     p.add_argument("--samples", type=int, default=100, help="word samples per check")
     p.add_argument(
         "--s-samples", type=int, default=50, help="continuous defect samples per level"
     )
     p.add_argument("--moment-box", type=int, default=5, help="moment box radius")
-    p.add_argument(
-        "--tol", type=float, default=ORACLE_TOL, help="oracle comparison tolerance"
-    )
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=default_format
     )
@@ -248,8 +239,8 @@ def _cmd_state(args) -> int:
         oracle = psi_oracle(thread, word)
         gap = abs(value - oracle)
         lines.append(f"oracle      = {oracle.real:.17g} {oracle.imag:+.17g}i")
-        lines.append(f"|difference| = {gap:.3e} (tolerance {args.tol:.3e})")
-        if not gap <= args.tol:
+        lines.append(f"|difference| = {gap:.3e} (tolerance {ORACLE_TOL:.3e})")
+        if not gap <= ORACLE_TOL:
             lines.append("ORACLE MISMATCH")
             code = 1
     _emit("\n".join(lines) + "\n", args.out)
@@ -273,7 +264,6 @@ def _suite_config(args) -> SuiteConfig:
         s_samples=args.s_samples,
         moment_box=args.moment_box,
         seed=args.seed,
-        oracle_tol=args.tol,
     )
 
 
@@ -286,7 +276,7 @@ def _config_echo(args) -> dict:
         "samples": args.samples,
         "s_samples": args.s_samples,
         "moment_box": args.moment_box,
-        "oracle_tol": args.tol,
+        "oracle_tol": ORACLE_TOL,
     }
 
 
@@ -322,6 +312,9 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for size, low in (("samples", 1), ("s_samples", 0), ("moment_box", 0)):
+        if getattr(args, size, low) < low:
+            parser.error(f"--{size.replace('_', '-')} must be at least {low}")
     try:
         return _COMMANDS[args.command](args)
     except (ConstraintViolation, InvalidBlock) as exc:

@@ -115,10 +115,6 @@ class Word:
         # copies and pickles (older ones hold no hash) rebuild the word through the checks
         self.__init__(state["p"], state["n"], state["q"], state["level"])
 
-    @classmethod
-    def identity(cls, k: int, d: int, level: int = 1) -> "Word":
-        return cls(p=(0,) * k, n=(0,) * d, q=(0,) * k, level=level)
-
     def __str__(self):
         fmt = lambda t: ",".join(str(v) for v in t)
         return f"V[{fmt(self.p)}] U[{fmt(self.n)}] V*[{fmt(self.q)}] @ {self.level}"
@@ -269,11 +265,12 @@ def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
 
 
 def _exp(z: complex) -> complex:
-    """cmath.exp, except that a too large real part overflows to infinity as in numpy."""
+    """cmath.exp, except that a too large real part overflows to infinity as in numpy, silently."""
     try:
         return cmath.exp(z)
     except OverflowError:
-        return complex(np.exp(z))
+        with np.errstate(over="ignore"):
+            return complex(np.exp(z))
 
 
 def state_eval(

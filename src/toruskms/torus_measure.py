@@ -57,8 +57,6 @@ __all__ = [
     "write_moment_csv",
 ]
 
-TWO_PI = 2.0 * np.pi
-
 # Default evaluation grid per axis for the Fejer density, by dimension.
 _DEFAULT_GRID = {1: 256, 2: 64, 3: 32}
 

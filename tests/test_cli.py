@@ -267,6 +267,67 @@ def test_levels_filter(line_files, tmp_path):
     ) == 2
 
 
+WORD = "V[0] U[1] V*[0] @ 1"
+
+
+def _exit_code_and_errors(argv, capsys):
+    """main's exit code on an argparse error, and the error lines it printed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    return exc.value.code, errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--tol", "1e-3"],
+        ["suite", "--suite", "kms", "--tol", "1e-3"],
+        ["state", "--word", WORD, "--tol", "1e-3"],
+        ["validate", "--seed", "1"],
+        ["state", "--word", WORD, "--seed", "1"],
+        ["transform", "--transform", "nu-from-mu", "--seed", "1"],
+    ],
+)
+def test_removed_options_exit_two(line_files, capsys, argv):
+    # the oracle gate is the constant ORACLE_TOL, and only suite and report
+    # draw random samples, so no other command takes a seed
+    _root, scenario, _thread = line_files
+    code, errors = _exit_code_and_errors([*argv, "--scenario", str(scenario)], capsys)
+    assert code == 2
+    assert errors == [f"toruskms: error: unrecognized arguments: {' '.join(argv[-2:])}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--samples", "-3"], "--samples must be at least 1"),
+        (["report", "--samples", "0"], "--samples must be at least 1"),
+        (["suite", "--suite", "kms", "--samples", "-1"], "--samples must be at least 1"),
+        (["report", "--s-samples", "-1"], "--s-samples must be at least 0"),
+        (["report", "--moment-box", "-1"], "--moment-box must be at least 0"),
+        (["validate", "--moment-box", "-1"], "--moment-box must be at least 0"),
+        (["transform", "--transform", "nu-from-mu", "--moment-box", "-1"],
+         "--moment-box must be at least 0"),
+    ],
+)
+def test_bad_sizes_exit_two_with_one_line(line_files, capsys, argv, message):
+    _root, scenario, _thread = line_files
+    code, errors = _exit_code_and_errors([*argv, "--scenario", str(scenario)], capsys)
+    assert code == 2
+    assert errors == [f"toruskms: error: {message}"]
+
+
+def test_smallest_sizes_are_accepted(line_files, tmp_path, capsys):
+    _root, scenario, thread = line_files
+    common = ["--scenario", str(scenario), "--thread", str(thread)]
+    assert main(["report", *common, "--samples", "1", "--s-samples", "0",
+                 "--moment-box", "0", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["validate", *common, "--moment-box", "0"]) == 0
+    assert main(["transform", *common, "--transform", "nu-from-mu", "--moment-box", "0"]) == 0
+    assert capsys.readouterr().out.endswith("n_1,Re,Im\n0,1,0\n")
+
+
 def test_console_script_installed(line_files):
     _root, scenario, _thread = line_files
     proc = subprocess.run(

@@ -8,8 +8,17 @@ compared to 1e-12 and every row must keep its identity and verdict.
 not move any row: their checks are compared field by field with ``==``.
 ``report_line_seed302_rows_parent.json`` predates the plain-Python word
 engine; at d = k = 1 every phase dot is a single product, so that engine must
-match it bit for bit too.  The config echo is never compared, because it
-holds the paths the report was run with.
+match it bit for bit too.  ``report_planar_seed302_rows_parent.json`` is
+the planar tower at the default sizes, where a word engine that summed its
+phase dots in another order once moved the C05 level 3 row in the last bit;
+it was written from the repository root by
+
+    PYTHONPATH=src python -m toruskms.cli report \
+        --scenario scenarios/planar_tower.json --format json --seed 302 \
+        --out tests/data/report_planar_seed302_rows_parent.json
+
+The config echo is never compared, because it holds the paths the report was
+run with.
 
 ``report_line_reduced_parent.csv`` and ``.txt`` hold the bytes of the CSV and
 text renderings, which echo no paths, and are compared byte for byte.  They
@@ -57,19 +66,22 @@ def test_report_matches_frozen_rows(tower, thread, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "tower, thread, seed, frozen_name",
+    "tower, thread, seed, sizes, frozen_name",
     [
-        pytest.param("line", "point_thread.json", 0, "report_line_rows_parent.json",
+        pytest.param("line", "point_thread.json", 0, REDUCED, "report_line_rows_parent.json",
                      id="line-point_thread.json"),
-        pytest.param("planar", None, 0, "report_planar_rows_parent.json", id="planar-None"),
-        pytest.param("line", "point_thread.json", 302, "report_line_seed302_rows_parent.json",
-                     id="line-point_thread.json-seed302"),
+        pytest.param("planar", None, 0, REDUCED, "report_planar_rows_parent.json",
+                     id="planar-None"),
+        pytest.param("line", "point_thread.json", 302, REDUCED,
+                     "report_line_seed302_rows_parent.json", id="line-point_thread.json-seed302"),
+        pytest.param("planar", None, 302, [], "report_planar_seed302_rows_parent.json",
+                     id="planar-None-seed302-default-sizes"),
     ],
 )
-def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, frozen_name, tmp_path):
+def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, sizes, frozen_name, tmp_path):
     out = tmp_path / "report.json"
     args = ["report", "--scenario", str(ROOT / "scenarios" / f"{tower}_tower.json"),
-            "--format", "json", "--out", str(out), "--seed", str(seed), *REDUCED]
+            "--format", "json", "--out", str(out), "--seed", str(seed), *sizes]
     if thread is not None:
         args += ["--thread", str(ROOT / "scenarios" / thread)]
     assert main(args) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,23 @@ def test_apply_dynamics_overflows_to_infinity_instead_of_raising():
     with np.errstate(over="ignore"):
         twisted = tk.apply_dynamics(a, 1j * 1.0, [300.0])
     assert not np.isfinite(twisted.coefficient(tk.Word(p=(0,), n=(1,), q=(3,), level=1)))
+
+
+def test_overflowing_twist_keeps_its_values_and_warns_nothing():
+    # the numpy fallback of an overflowing exponential must neither leak a
+    # RuntimeWarning nor change a value; reprs frozen from the commit that
+    # let numpy warn (NaN != NaN, so values are compared by repr)
+    word = lambda p, q: tk.Word(p=(p,), n=(1,), q=(q,), level=1)
+    a = tk.AlgebraElement(1, {word(0, 3): 1.0, word(0, 2): 2 - 1j, word(1, 0): 0.5j,
+                              word(2, 2): 3.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twisted = tk.apply_dynamics(a, 1j * 1.0, [300.0])
+    assert {str(w): repr(c) for w, c in twisted.terms.items()} == {
+        "V[0] U[1] V*[3] @ 1": "(inf+nanj)",
+        "V[0] U[1] V*[2] @ 1": "(7.546040601859879e+260-3.7730203009299397e+260j)",
+        "V[2] U[1] V*[2] @ 1": "(3+0j)",
+    }
 
 
 def test_nan_coefficient_is_kept_not_pruned():

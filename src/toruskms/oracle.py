@@ -24,7 +24,8 @@ a route that shares no algebra with the closed form:
   operator-level check of the multiplication engine.
 
 Oracles are for tests and cross-validation; the library itself never calls
-them to produce a value.
+them to produce a value.  They import data containers only, plus the route A
+``nu_from_mu`` of ``bhs_reconciliation``, and compute (theta n)_j and c_m here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .solenoid_limit import SolenoidMeasureThread, level_constants
+from .solenoid_limit import SolenoidMeasureThread
 from .subinvariance import BlockParams, nu_from_mu
 from .toeplitz_algebra import AlgebraElement, Word
 from .torus_measure import AtomicMeasure, TorusMeasure
@@ -70,6 +71,11 @@ class ThetaZero(Exception):
     """The density-route reconciliation needs theta > 0."""
 
 
+def _theta_n(params: BlockParams, n) -> np.ndarray:
+    """The k-vector (theta n)_j from the raw theta, with no closed-form helper."""
+    return np.asarray(n, dtype=float) @ params.theta.T
+
+
 @lru_cache(maxsize=16)
 def _leggauss(nodes: int):
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -99,7 +105,7 @@ class QuadratureSpec:
         resolve the oscillation 2 pi (theta n)_j against 16-node panels."""
         decay = params.beta * params.r
         widths = np.log(1.0 / _TRUNC_EPS) / decay
-        t = np.abs(params.theta_dot(n))
+        t = np.abs(_theta_n(params, n))
         speed = np.hypot(decay, TWO_PI * t)
         panels = int(max(4, np.max(np.ceil(widths * speed / _PANEL_BUDGET))))
         return cls(widths=tuple(widths), panels=panels, nodes=16)
@@ -132,7 +138,7 @@ def laplace_quadrature(
     """
     if spec is None:
         spec = QuadratureSpec.for_params(params, n)
-    t = params.theta_dot(n)
+    t = _theta_n(params, n)
     value = 1.0 + 0j
     for j in range(params.k):
         z = complex(-params.beta * params.r[j], TWO_PI * t[j])
@@ -144,12 +150,12 @@ def psi_oracle(thread: SolenoidMeasureThread, w: Word) -> complex:
     """The thread's state on one word by quadrature, to check psi_eval against.
 
     [p == q] e^(-beta p.r^m) c_m times laplace_quadrature of mu_m at n, where
-    c_m is the level's mass constant; the closed-form factors of psi_eval are
-    never formed.
+    c_m = prod_j beta r^m_j is the level's mass constant, taken from the raw
+    fields; the closed-form factors of psi_eval are never formed.
     """
     scenario, m = thread.scenario, w.level
     params = BlockParams.at_level(scenario, m)
-    c_m = level_constants(scenario).c[m - 1]
+    c_m = float(np.prod(scenario.beta * params.r))
     if w.p != w.q:
         return 0j
     weight = float(np.exp(-scenario.beta * np.asarray(w.p, dtype=float) @ params.r))
@@ -200,7 +206,7 @@ def _truncated_geometric_sum(params: BlockParams, n: np.ndarray, box: int) -> co
     The summand factorizes across axes, so this is the product over j of the
     per-axis partial sums, each summed term by term.
     """
-    t = params.theta_dot(n)
+    t = _theta_n(params, n)
     b = np.arange(box + 1, dtype=float)
     value = 1.0 + 0j
     for j in range(params.k):
@@ -339,7 +345,7 @@ def fock_word_matrix(
         shift_up = np.kron(shift_up, _shift_power_matrix(w.p[j], box))
         shift_dn = np.kron(shift_dn, _shift_power_matrix(w.q[j], box))
     occ = _occupation_indices(k, box)
-    t = params.theta_dot(n)
+    t = _theta_n(params, n)
     rot = np.exp(2j * np.pi * (occ.astype(float) @ t))
     occupation_part = shift_up @ (rot[:, None] * shift_dn.T)
     atom_part = np.diag(np.exp(2j * np.pi * (kappa.points @ n)))

@@ -336,21 +336,21 @@ def check_subinvariance(
 
     Draws continuous defect parameters s uniformly from [0, s_max]^k with
     s_max = 5 / (beta min_j r_j), includes the all-ones point, and runs the
-    positivity certificate on each defect (and on nu itself) at a reduced
-    moment box.  Returns (ok, failure descriptions).
+    moment-matrix positivity certificate on each defect (and on nu itself)
+    at the reduced moment box |n_i| <= moment_radius.  Returns (ok, failure
+    descriptions), each failure naming its s and the negative eigenvalue.
     """
     _check_dims(nu, params)
     rng = np.random.default_rng(seed)
     s_max = 5.0 / (params.beta * float(np.min(params.r)))
     trial_s = [np.ones(params.k)] + [rng.uniform(0.0, s_max, params.k) for _ in range(samples)]
     failures: List[str] = []
-    grid_n = {1: 128, 2: 32, 3: 16}.get(nu.d, 16)
-    verdict = positivity_test(nu, grid_n=grid_n, tol=tol, moment_radius=moment_radius)
+    verdict = positivity_test(nu, tol=tol, moment_radius=moment_radius)
     if not verdict.is_positive:
         failures.append(f"nu itself fails positivity: {verdict.describe()}")
     for s in trial_s:
         defect = defect_measure_cts(nu, s, params)
-        verdict = positivity_test(defect, grid_n=grid_n, tol=tol, moment_radius=moment_radius)
+        verdict = positivity_test(defect, tol=tol, moment_radius=moment_radius)
         if not verdict.is_positive:
             failures.append(f"defect at s={np.round(s, 4).tolist()}: {verdict.describe()}")
     return (not failures), failures

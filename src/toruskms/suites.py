@@ -13,7 +13,6 @@ after another and returns rows sorted by check id.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -79,13 +78,18 @@ FUZZ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all checks; defaults match the desk-scale contract."""
+    """Knobs shared by all checks; a size that checks nothing raises ValueError."""
 
     samples: int = 100
     s_samples: int = 50
     moment_box: int = 5
     seed: int = 0
     fuzz_count: int = 500
+
+    def __post_init__(self):
+        for size, low in (("samples", 1), ("s_samples", 0), ("moment_box", 0), ("fuzz_count", 1)):
+            if getattr(self, size) < low:
+                raise ValueError(f"{size} must be at least {low}, got {getattr(self, size)}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +152,6 @@ def _worst(values: Iterable[float], start: float = 0.0) -> float:
         if value >= worst:
             worst = value
     return worst
-
-
-def _violation(verdict) -> float:
-    """A positivity certificate's violation: its negated floor min(density, spectrum)."""
-    return _worst((-verdict.min_density, -verdict.min_eigenvalue), start=-math.inf)
 
 
 def _residual_row(check_id: str, level: int, quantity: str, residual: float, bound: float):
@@ -358,13 +357,15 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
         mu_m = thread.measure(m)
         nu = nu_from_mu(mu_m, params, check=False)
         verdict = certify(nu)
+        # the Fejer density is a Rayleigh quotient of the moment matrix, so the
+        # min of the two named here is the spectrum floor; the text is frozen
         rows.append(
             _positivity_row(
                 m,
                 "nu_mu positivity certificate (min of Fejer density, moment matrix spectrum)"
                 if verdict.is_positive
                 else f"nu_mu positivity certificate: {verdict.describe()}",
-                _violation(verdict),
+                -verdict.min_eigenvalue,
             )
         )
         s_max = 5.0 / (scenario.beta * float(np.min(params.r)))
@@ -378,7 +379,7 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
             rows.append(_row("C04", m, quantity, 0.0, 0.0, 0.0, POSITIVITY_TOL, status="skip"))
             continue
         verdicts = [certify(defect_measure_cts(nu, s, params)) for s in s_points]
-        violations = [_violation(v) for v in verdicts]
+        violations = [-v.min_eigenvalue for v in verdicts]
         worst = int(np.argmax(violations))  # the first worst s, or the first NaN
         if not verdicts[worst].is_positive:
             quantity += f" worst s={np.round(s_points[worst], 4).tolist()}: "

@@ -139,7 +139,8 @@ class AlgebraElement:
             if word.level != level:
                 raise LevelMismatch(f"term at level {word.level} in element at level {level}")
             c = complex(coeff)
-            if not abs(c) < PRUNE_TOL:
+            # NaN first: CPython's abs of a NaN reads an errno a caught overflow may have set
+            if c != c or not abs(c) < PRUNE_TOL:
                 cleaned[word] = c
         self.level = level
         self.terms = cleaned
@@ -175,8 +176,8 @@ class AlgebraElement:
     def sup_coefficient_distance(self, other: "AlgebraElement") -> float:
         """Largest |coefficient difference| over the words of both; NaN if any is NaN."""
         keys = self.terms.keys() | other.terms
-        gaps = [abs(self.terms.get(w, 0j) - other.terms.get(w, 0j)) for w in keys]
-        return max(gaps, default=0.0) if all(g == g for g in gaps) else math.nan
+        gaps = [self.terms.get(w, 0j) - other.terms.get(w, 0j) for w in keys]
+        return max(map(abs, gaps), default=0.0) if all(g == g for g in gaps) else math.nan
 
     def __repr__(self):
         if not self.terms:

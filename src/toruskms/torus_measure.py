@@ -13,17 +13,16 @@ the re-indexing (E n eventually leaves any finite box), which is why atomic
 measures are the preferred concrete input format and table-backed measures
 raise ``OutOfBox`` when queried too far.
 
-Positivity of a (possibly signed) real moment oracle is certified by two
-necessary conditions evaluated on finite data:
-
-* the Fejer-smoothed density, a nonnegative-kernel convolution of the measure,
-  must be nonnegative on a uniform grid, and
-* the multilevel Toeplitz moment matrix T[n, n'] = moment(n - n') must be
-  positive semidefinite.
-
-Both checks can refute positivity with an explicit witness; passing them is a
-necessary-condition certificate, not a proof.  The verdict object records
-which case occurred.
+Positivity of a (possibly signed) real moment oracle is certified by one
+necessary condition: the multilevel Toeplitz moment matrix
+T[a, b] = moment(n_a - n_b), n_a in [0, N]^d, must be positive semidefinite.
+A negative eigenvalue refutes positivity with its eigenvector as witness;
+passing is a necessary-condition certificate, not a proof.  The Fejer density
+of order N adds no test: at x it is (N+1)^(-d) v* T v with |v|^2 = (N+1)^d,
+v_a = exp(2*pi*i * n_a.x), a Rayleigh quotient of T, never below its least
+eigenvalue.  That is exact for a Hermitian table; one that passes the
+Hermitian gate with defect delta moves the quotient by at most
+(N+1)^d * delta / 2.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ __all__ = [
     "write_moment_csv",
 ]
 
-# Default evaluation grid per axis for the Fejer density, by dimension.
+# Fejer grid points per axis by dimension; no grid is evaluated, profilers read it.
 _DEFAULT_GRID = {1: 256, 2: 64, 3: 32}
 
 
@@ -300,22 +299,18 @@ def pushforward_dual(mu: TorusMeasure, E) -> TorusMeasure:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
-    """Outcome of the two-part positivity certificate.
+    """Outcome of the moment-matrix positivity certificate.
 
-    kind is "positive", "not_positive", or "inconclusive" ("inconclusive" is
-    reserved for future sufficient tests and is currently never returned).
-    On failure the witness fields locate the violation: the grid point where
-    the Fejer density is most negative, and the eigenvector realising the
-    most negative moment-matrix eigenvalue.
+    kind is "positive" or "not_positive".  min_eigenvalue is the smallest
+    eigenvalue of the moment matrix on [0, moment_radius]^d; it bounds the
+    Fejer-smoothed density of that order from below (see the module
+    docstring).  On failure eigen_witness is the eigenvector realising it.
     """
 
     kind: str
-    min_density: float
-    density_witness: Optional[np.ndarray]
     min_eigenvalue: float
     eigen_witness: Optional[np.ndarray]
     moment_radius: int
-    grid_n: int
 
     @property
     def is_positive(self) -> bool:
@@ -323,48 +318,8 @@ class PositivityVerdict:
 
     def describe(self) -> str:
         if self.is_positive:
-            return (
-                f"positive (min Fejer density {self.min_density:.3e}, "
-                f"min moment-matrix eigenvalue {self.min_eigenvalue:.3e})"
-            )
-        parts = []
-        if self.density_witness is not None:
-            parts.append(
-                f"Fejer density {self.min_density:.3e} at x = "
-                f"{np.round(self.density_witness, 6).tolist()}"
-            )
-        if self.eigen_witness is not None:
-            parts.append(f"moment-matrix eigenvalue {self.min_eigenvalue:.3e}")
-        return "not positive: " + "; ".join(parts)
-
-
-def _fejer_weights(radius: int) -> np.ndarray:
-    n = np.arange(-radius, radius + 1)
-    return 1.0 - np.abs(n) / (radius + 1.0)
-
-
-def _fejer_density(table: np.ndarray, radius: int, grid_n: int) -> np.ndarray:
-    """Evaluate the Fejer-smoothed density on the uniform grid (Z/grid_n)^d.
-
-    The smoothed density sum_{|n_i|<=N} prod_i (1 - |n_i|/(N+1)) moment(n)
-    exp(-2 pi i x.n) is the convolution of the measure with a nonnegative
-    kernel, hence nonnegative everywhere whenever the measure is positive.
-    Needs grid_n >= 2*radius + 1 so distinct frequencies stay distinct.
-    """
-    d = table.ndim
-    if grid_n < 2 * radius + 1:
-        raise ValueError("grid_n must be at least 2*radius + 1")
-    w1 = _fejer_weights(radius)
-    coeffs = table.copy()
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = 2 * radius + 1
-        coeffs = coeffs * w1.reshape(shape)
-    padded = np.zeros((grid_n,) * d, dtype=complex)
-    axis_idx = np.arange(-radius, radius + 1) % grid_n
-    padded[np.ix_(*([axis_idx] * d))] = coeffs
-    density = np.fft.fftn(padded)
-    return density
+            return f"positive (min moment-matrix eigenvalue {self.min_eigenvalue:.3e})"
+        return f"not positive: moment-matrix eigenvalue {self.min_eigenvalue:.3e}"
 
 
 def _moment_matrix(table: np.ndarray, radius: int) -> np.ndarray:
@@ -375,35 +330,32 @@ def _moment_matrix(table: np.ndarray, radius: int) -> np.ndarray:
 
 def positivity_test(
     lam: TorusMeasure,
-    grid_n: Optional[int] = None,
+    *,
     tol: float = 1e-8,
     moment_radius: int = 5,
 ) -> PositivityVerdict:
-    """Two-part necessary-condition positivity certificate for a real measure.
+    """Necessary-condition positivity certificate for a real measure.
 
     Parameters
     ----------
     lam : TorusMeasure
-        Real measure (Hermitian moments); a symmetry defect raises ValueError.
-    grid_n : int, optional
-        Fejer evaluation grid points per axis.  Defaults to 256 (d=1),
-        64 (d=2), 32 (d=3).
+        Real measure (Hermitian moments); a symmetry defect above 1e-9 times
+        the largest moment, or a NaN moment, raises ValueError.
     tol : float
-        Values below -tol on either check refute positivity.
+        A moment-matrix eigenvalue below -tol refutes positivity.
     moment_radius : int
-        Moment box radius N; both checks consume moments with |n_i| <= N.
+        Moment box radius N; the check consumes moments with |n_i| <= N.
 
     Returns
     -------
     PositivityVerdict
-        "positive" when both necessary conditions hold, otherwise
-        "not_positive" with witnesses.
+        "positive" when the moment matrix on [0, N]^d is positive
+        semidefinite to within tol, otherwise "not_positive" with the
+        eigenvector of its smallest eigenvalue.  The Fejer density of order N
+        is a Rayleigh quotient of that matrix (module docstring).
     """
     d = lam.d
     N = int(moment_radius)
-    if grid_n is None:
-        grid_n = _DEFAULT_GRID.get(d, max(2 * N + 1, 16))
-    grid_n = int(grid_n)
     table = moment_table(lam, N)
     scale = max(1.0, float(np.max(np.abs(table))))
     sym_defect = np.max(np.abs(table - np.conj(table[(slice(None, None, -1),) * d])))
@@ -412,28 +364,14 @@ def positivity_test(
             f"moments are not Hermitian-symmetric (defect {sym_defect:.3e}); "
             "positivity is defined for real measures"
         )
-
-    density = _fejer_density(table, N, grid_n)
-    dens_real = density.real
-    flat_arg = int(np.argmin(dens_real))
-    min_density = float(dens_real.flat[flat_arg])
-    witness_idx = np.unravel_index(flat_arg, dens_real.shape)
-    density_witness = np.asarray(witness_idx, dtype=float) / grid_n
-
-    T = _moment_matrix(table, N)
-    eigvals, eigvecs = np.linalg.eigh(T)
+    eigvals, eigvecs = np.linalg.eigh(_moment_matrix(table, N))
     min_eig = float(eigvals[0])
-    eigen_witness = eigvecs[:, 0]
-
-    ok = min_density >= -tol and min_eig >= -tol
+    ok = min_eig >= -tol
     return PositivityVerdict(
         kind="positive" if ok else "not_positive",
-        min_density=min_density,
-        density_witness=None if min_density >= -tol else density_witness,
         min_eigenvalue=min_eig,
-        eigen_witness=None if min_eig >= -tol else eigen_witness,
+        eigen_witness=None if ok else eigvecs[:, 0],
         moment_radius=N,
-        grid_n=grid_n,
     )
 
 

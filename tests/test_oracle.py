@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,27 @@ def test_dense_state_matches_closed_form():
         dense = tk.fock_dense_state(tk.AlgebraElement.from_word(w), params, kappa, box)
         closed = tk.state_eval(nu, params, tk.AlgebraElement.from_word(w))
         assert abs(dense - closed) < 1e-9
+
+
+# What oracle.py may take from the closed-form side: data containers, and
+# nu_from_mu as route A of bhs_reconciliation.  BlockParams methods that
+# compute (theta n)_j or mass constants are closed-form helpers too.
+ORACLE_IMPORTS = {
+    "AlgebraElement", "AtomicMeasure", "BlockParams", "SolenoidMeasureThread",
+    "TorusMeasure", "Word", "nu_from_mu",
+}
+CLOSED_FORM_METHODS = {"theta_dot", "mass_factor", "partition_value"}
+
+
+def test_oracle_imports_only_data_containers_from_the_closed_form():
+    source = Path(tk.oracle.__file__).read_text()
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("toruskms") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or "toruskms" in (node.module or "")):
+            imported.update(a.name for a in node.names)
+    assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS
+    used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not used & CLOSED_FORM_METHODS, used & CLOSED_FORM_METHODS

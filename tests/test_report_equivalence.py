@@ -17,6 +17,18 @@ it was written from the repository root by
         --scenario scenarios/planar_tower.json --format json --seed 302 \
         --out tests/data/report_planar_seed302_rows_parent.json
 
+``report_cubic_rows_parent.json`` is the benchmark's d = 3 tower with its
+point thread, the only d = 3 report gate.  It pins C04 rows where the moment
+spectrum floor ties the Fejer density minimum and rows where it lies below,
+frozen before the certificate dropped the density half; it was written from
+the repository root by
+
+    PYTHONPATH=src python -m toruskms.cli report \
+        --scenario perfbench/data/cubic_tower.json \
+        --thread perfbench/data/cubic_thread.json \
+        --s-samples 1 --moment-box 4 --seed 0 --format json \
+        --out tests/data/report_cubic_rows_parent.json
+
 The config echo is never compared, because it holds the paths the report was
 run with.
 
@@ -76,14 +88,19 @@ def test_report_matches_frozen_rows(tower, thread, tmp_path):
                      "report_line_seed302_rows_parent.json", id="line-point_thread.json-seed302"),
         pytest.param("planar", None, 302, [], "report_planar_seed302_rows_parent.json",
                      id="planar-None-seed302-default-sizes"),
+        pytest.param("perfbench/data/cubic", "perfbench/data/cubic_thread.json", 0,
+                     ["--s-samples", "1", "--moment-box", "4"], "report_cubic_rows_parent.json",
+                     id="cubic-cubic_thread.json"),
     ],
 )
 def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, sizes, frozen_name, tmp_path):
+    # a tower or thread given with a directory is relative to the root, else to scenarios/
+    where = lambda name: ROOT / name if "/" in name else ROOT / "scenarios" / name
     out = tmp_path / "report.json"
-    args = ["report", "--scenario", str(ROOT / "scenarios" / f"{tower}_tower.json"),
+    args = ["report", "--scenario", str(where(f"{tower}_tower.json")),
             "--format", "json", "--out", str(out), "--seed", str(seed), *sizes]
     if thread is not None:
-        args += ["--thread", str(ROOT / "scenarios" / thread)]
+        args += ["--thread", str(where(thread))]
     assert main(args) == 0
     got = json.loads(out.read_text())
     frozen = json.loads((ROOT / "tests" / "data" / frozen_name).read_text())

@@ -196,3 +196,18 @@ def test_positivity_without_defect_samples_is_a_skip(line_scenario, line_point_t
     assert [r.status for r in top] == ["pass", "skip"]
     assert all(r.status == "pass" for r in rows if r.level < line_scenario.depth)
     assert tk.overall_pass(rows)
+
+
+@pytest.mark.parametrize(
+    "size, value",
+    [("samples", 0), ("samples", -3), ("s_samples", -1), ("moment_box", -1), ("fuzz_count", 0)],
+)
+def test_config_sizes_that_check_nothing_are_rejected(size, value):
+    # "over -3 word pairs" or "over 0 instances" rows would pass vacuously
+    with pytest.raises(ValueError, match=f"{size} must be at least"):
+        tk.SuiteConfig(**{size: value})
+
+
+def test_smallest_config_sizes_are_accepted():
+    cfg = tk.SuiteConfig(samples=1, s_samples=0, moment_box=0, fuzz_count=1)
+    assert (cfg.samples, cfg.s_samples, cfg.moment_box, cfg.fuzz_count) == (1, 0, 0, 1)

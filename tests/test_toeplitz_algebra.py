@@ -404,3 +404,15 @@ def test_nan_coefficient_is_kept_not_pruned():
     reverse = tk.multiply(b, a, [[float("nan")]])
     assert np.isnan(product.sup_coefficient_distance(reverse))
     assert np.isnan(reverse.sup_coefficient_distance(product))
+
+
+def test_overflow_to_nan_coefficient_is_kept_and_measured_as_nan():
+    # cmath.exp overflows inside apply_dynamics and leaves errno set; the NaN
+    # coefficient it yields must not reach CPython's complex abs, which reads
+    # that errno and raised OverflowError
+    a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(1,), q=(3,), level=1))
+    twisted = tk.apply_dynamics(a, 0.3 + 1j, [300.0])
+    assert list(twisted.terms) == list(a.terms)
+    assert all(np.isnan(c) for c in twisted.terms.values())
+    assert np.isnan(twisted.sup_coefficient_distance(a))
+    assert np.isnan(a.sup_coefficient_distance(twisted))

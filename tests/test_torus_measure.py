@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import json
 
@@ -144,18 +145,74 @@ def test_positivity_accepts_probability_measures():
     verdict = tk.positivity_test(mu)
     assert verdict.is_positive
     assert verdict.min_eigenvalue > -1e-10
-    assert verdict.min_density > -1e-10
 
 
 def test_positivity_flags_signed_measures_with_witness():
+    from toruskms.torus_measure import _moment_matrix
+
     mu = tk.AtomicMeasure(np.array([[0.1], [0.6]]), np.array([1.0, -0.5]))
     verdict = tk.positivity_test(mu)
     assert not verdict.is_positive
     assert verdict.kind == "not_positive"
-    # at least one certificate carries a witness
-    assert verdict.min_density < -1e-8 or verdict.min_eigenvalue < -1e-8
+    # the witness is the eigenvector of the negative eigenvalue
+    assert verdict.min_eigenvalue < -1e-8
+    T = _moment_matrix(tk.moment_table(mu, verdict.moment_radius), verdict.moment_radius)
+    w = verdict.eigen_witness
+    assert abs(np.vdot(w, T @ w) - verdict.min_eigenvalue) < 1e-12
     text = verdict.describe()
     assert "not positive" in text
+
+
+def _fejer_mean(table, radius, grid_n):
+    """The Fejer mean of order radius on the grid (Z/grid_n)^d, by FFT."""
+    d = table.ndim
+    weights = 1.0 - np.abs(np.arange(-radius, radius + 1)) / (radius + 1.0)
+    coeffs = table * functools.reduce(np.multiply.outer, [weights] * d)
+    padded = np.zeros((grid_n,) * d, dtype=complex)
+    axis = np.arange(-radius, radius + 1) % grid_n
+    padded[np.ix_(*([axis] * d))] = coeffs
+    return np.fft.fftn(padded).real
+
+
+@st.composite
+def _signed_measures(draw):
+    """(measure, radius): a real signed atomic measure, or a defect measure of one."""
+    d = draw(st.integers(1, 3))
+    atoms = draw(st.integers(1, 5))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    points = draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=atoms, max_size=atoms))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=atoms, max_size=atoms))
+    mu = tk.AtomicMeasure(np.array(points), np.array(weights))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        entries = lambda low, high, size: st.lists(
+            st.floats(low, high), min_size=size, max_size=size
+        )
+        params = tk.BlockParams(
+            theta=np.array(draw(entries(0.0, 1.5, k * d))).reshape(k, d),
+            r=np.array(draw(entries(0.5, 2.0, k))),
+            beta=draw(st.floats(0.5, 2.0)),
+        )
+        mu = tk.defect_measure_cts(mu, np.array(draw(entries(0.0, 3.0, k))), params)
+    return mu, draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_signed_measures())
+def test_fejer_mean_never_falls_below_the_spectrum_floor(case):
+    # The Fejer mean at x is (N+1)^-d v(x)* T v(x), v(x)_a = e^(2 pi i a.x):
+    # a Rayleigh quotient of the moment matrix T.  So the density test the
+    # certificate once ran beside the spectrum could never refute positivity
+    # where the spectrum passed, and the one-part verdict equals the two-part one.
+    mu, radius = case
+    table = tk.moment_table(mu, radius)
+    scale = max(1.0, float(np.max(np.abs(table))))
+    verdict = tk.positivity_test(mu, tol=1e-8, moment_radius=radius)
+    density = _fejer_mean(table, radius, {1: 256, 2: 64, 3: 32}[mu.d])
+    assert density.min() >= verdict.min_eigenvalue - 1e-12 * scale
+    two_part = density.min() >= -1e-8 and verdict.min_eigenvalue >= -1e-8
+    assert verdict.is_positive == two_part
+    assert (verdict.eigen_witness is None) == verdict.is_positive
 
 
 def test_positivity_two_dimensional():

@@ -2,13 +2,17 @@
 
 Subcommands:
   validate   check a scenario file (and optionally a thread) against the
-             exact level relations and static constraints
+             exact level relations, the static constraints and the thread
+             compatibility relation, and list every violation
   state      evaluate the solenoid state on one word, optionally
              cross-checked against the quadrature oracle
   transform  apply one of the moment transforms to a thread level's measure
              and emit the resulting moment table as CSV
   suite      run a named verification suite and render a report
   report     run every check and render a report (json by default)
+
+Every other subcommand exits 1 on the first violation validate would list.
+No option sets a gate's tolerance or coverage, or filters the report rows.
 
 Exit codes: 0 success, 1 a verification failed or a constraint is violated,
 2 the inputs could not be parsed.
@@ -20,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -119,22 +123,14 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _parse_levels(spec: str, depth: int) -> List[int]:
-    out = []
-    for piece in spec.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            m = int(piece)
-        except ValueError as exc:
-            raise InputError(f"bad level {piece!r}") from exc
-        if not 1 <= m <= depth:
-            raise InputError(f"level {m} outside 1..{depth}")
-        out.append(m)
-    if not out:
-        raise InputError("empty level list")
-    return out
+def _load_inputs(args) -> Tuple[Scenario, SolenoidMeasureThread]:
+    """The scenario and thread, rejected on the first violation `validate` lists."""
+    scenario = _load_scenario(args.scenario)
+    thread = _load_thread(scenario, args.thread)
+    problems = validate_scenario(scenario) + validate_thread(thread)
+    if problems:
+        raise ConstraintViolation(problems[0])
+    return scenario, thread
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,9 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check scenario (and thread) constraints")
     common(p_val)
-    p_val.add_argument(
-        "--moment-box", type=int, default=5, help="box radius for thread compatibility"
-    )
 
     p_state = sub.add_parser("state", help="evaluate the state on one word")
     common(p_state)
@@ -203,7 +196,6 @@ def _report_options(p, default_format="text"):
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=default_format
     )
-    p.add_argument("--levels", default=None, help="comma separated level filter for the rows")
 
 
 def _cmd_validate(args) -> int:
@@ -211,7 +203,7 @@ def _cmd_validate(args) -> int:
     problems = validate_scenario(scenario)
     if args.thread is not None:
         thread = _load_thread(scenario, args.thread)
-        problems.extend(validate_thread(thread, moment_radius=args.moment_box))
+        problems.extend(validate_thread(thread))
     if problems:
         _emit("\n".join(problems) + "\nINVALID\n", args.out)
         return 1
@@ -221,8 +213,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_state(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    thread = _load_thread(scenario, args.thread)
+    scenario, thread = _load_inputs(args)
     try:
         word = parse_word(args.word, scenario.dims.k, scenario.dims.d)
     except Exception as exc:
@@ -248,8 +239,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    thread = _load_thread(scenario, args.thread)
+    scenario, thread = _load_inputs(args)
     if not 1 <= args.level <= scenario.depth:
         raise InputError(f"level {args.level} outside 1..{scenario.depth}")
     params = BlockParams.at_level(scenario, args.level)
@@ -290,12 +280,8 @@ def _render(rows, args) -> str:
 
 def _cmd_checks(args) -> int:
     """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
-    scenario = _load_scenario(args.scenario)
-    thread = _load_thread(scenario, args.thread)
+    scenario, thread = _load_inputs(args)
     rows = run_suite(args.suite, scenario, thread, _suite_config(args))
-    if args.levels:
-        keep = set(_parse_levels(args.levels, scenario.depth))
-        rows = [row for row in rows if row.level == 0 or row.level in keep]
     _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 

@@ -203,13 +203,13 @@ def derive_levels(theta1, r1, D_seq: Sequence, E_seq: Sequence) -> Tuple[LevelDa
     return tuple(levels)
 
 
-def validate_scenario(scenario: Scenario, tol: float = RELATION_TOL) -> List[str]:
+def validate_scenario(scenario: Scenario) -> List[str]:
     """Collect every violation of the scenario contract; never raises.
 
     Returns an empty list exactly when the scenario is valid: finite positive
     beta, per-level static constraints, and the two exact relations between
-    consecutive levels to within tol (absolute, real arithmetic).  A NaN
-    relation defect is a violation.
+    consecutive levels to within the constant RELATION_TOL (absolute, real
+    arithmetic).  A NaN relation defect is a violation.
     """
     report: List[str] = []
     if not 0 < scenario.beta < np.inf:
@@ -221,15 +221,16 @@ def validate_scenario(scenario: Scenario, tol: float = RELATION_TOL) -> List[str
         hi = scenario.levels[m]
         lhs = lo.D[:, None].astype(float) * (hi.theta @ lo.E.astype(float))
         theta_defect = float(np.max(np.abs(lhs - lo.theta)))
-        if not theta_defect <= tol:
+        if not theta_defect <= RELATION_TOL:
             report.append(
                 f"levels {m}->{m + 1}: D_m theta_(m+1) E_m differs from theta_m "
-                f"by {theta_defect:.3e} (> {tol})"
+                f"by {theta_defect:.3e} (> {RELATION_TOL})"
             )
         r_defect = float(np.max(np.abs(lo.D.astype(float) * hi.r - lo.r)))
-        if not r_defect <= tol:
+        if not r_defect <= RELATION_TOL:
             report.append(
-                f"levels {m}->{m + 1}: D_m r^(m+1) differs from r^m by {r_defect:.3e} (> {tol})"
+                f"levels {m}->{m + 1}: D_m r^(m+1) differs from r^m "
+                f"by {r_defect:.3e} (> {RELATION_TOL})"
             )
     return report
 

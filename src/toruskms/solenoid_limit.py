@@ -68,6 +68,7 @@ __all__ = [
 TWO_PI_I = 2j * np.pi
 
 COMPAT_TOL = 1e-12
+COMPAT_RADIUS = 5
 POINT_COMPAT_TOL = 1e-10
 
 
@@ -238,13 +239,11 @@ def thread_from_json(obj, scenario: Scenario) -> SolenoidMeasureThread:
     raise ValueError(f"unknown thread kind {kind!r}")
 
 
-def validate_thread(
-    thread: SolenoidMeasureThread, moment_radius: int = 5, tol: float = COMPAT_TOL
-) -> List[str]:
+def validate_thread(thread: SolenoidMeasureThread) -> List[str]:
     """Collect thread violations on sampled moments; never raises.
 
     Checks each level's mass and the compatibility relation
-    moment(mu_m, n) = moment(mu_(m+1), E_m n) on the box |n_i| <= radius.
+    moment(mu_m, n) = moment(mu_(m+1), E_m n) within COMPAT_TOL on |n_i| <= COMPAT_RADIUS.
     A non-finite mass or defect is a violation.
     """
     report: List[str] = []
@@ -253,15 +252,15 @@ def validate_thread(
         mass = thread.measure(m).total_mass()
         if not abs(mass - 1.0) <= 1e-10:
             report.append(f"level {m}: mass {mass:.12g} differs from 1")
-    box = index_box(scen.dims.d, moment_radius)
+    box = index_box(scen.dims.d, COMPAT_RADIUS)
     for m in range(1, scen.depth):
         E = scen.level(m).E
         gaps = thread.measure(m).moments(box) - thread.measure(m + 1).moments(box @ E.T)
         worst = float(np.max(np.abs(gaps)))
-        if not worst <= tol:
+        if not worst <= COMPAT_TOL:
             report.append(
                 f"levels {m}->{m + 1}: compatibility defect {worst:.3e} on |n_i| <= "
-                f"{moment_radius} (> {tol})"
+                f"{COMPAT_RADIUS} (> {COMPAT_TOL})"
             )
     return report
 

@@ -60,6 +60,10 @@ __all__ = [
 
 TWO_PI_I = 2j * np.pi
 
+SUBINV_DRAWS = 10
+SUBINV_SEED = 0
+SUBINV_RADIUS = 3
+
 
 class MeetNotZero(Exception):
     """The finite defect family F has two members with a common positive entry."""
@@ -324,33 +328,25 @@ def numeric_limit_mu(
     return values
 
 
-def check_subinvariance(
-    nu: TorusMeasure,
-    params: BlockParams,
-    samples: int = 10,
-    seed: int = 0,
-    moment_radius: int = 3,
-    tol: float = 1e-7,
-) -> Tuple[bool, List[str]]:
+def check_subinvariance(nu: TorusMeasure, params: BlockParams) -> Tuple[bool, List[str]]:
     """Sampled necessary-condition certificate that nu is subinvariant.
 
-    Draws continuous defect parameters s uniformly from [0, s_max]^k with
-    s_max = 5 / (beta min_j r_j), includes the all-ones point, and runs the
-    moment-matrix positivity certificate on each defect (and on nu itself)
-    at the reduced moment box |n_i| <= moment_radius.  Returns (ok, failure
-    descriptions), each failure naming its s and the negative eigenvalue.
+    Draws SUBINV_DRAWS defect parameters s uniformly from [0, s_max]^k,
+    s_max = 5 / (beta min_j r_j), seeded SUBINV_SEED, adds s = 1, and runs
+    positivity_test on each defect and on nu itself on |n_i| <= SUBINV_RADIUS.
+    Returns (ok, failure descriptions), each naming its s and eigenvalue.
     """
     _check_dims(nu, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUBINV_SEED)
     s_max = 5.0 / (params.beta * float(np.min(params.r)))
-    trial_s = [np.ones(params.k)] + [rng.uniform(0.0, s_max, params.k) for _ in range(samples)]
+    trial_s = [np.ones(params.k), *rng.uniform(0.0, s_max, (SUBINV_DRAWS, params.k))]
     failures: List[str] = []
-    verdict = positivity_test(nu, tol=tol, moment_radius=moment_radius)
+    verdict = positivity_test(nu, moment_radius=SUBINV_RADIUS)
     if not verdict.is_positive:
         failures.append(f"nu itself fails positivity: {verdict.describe()}")
     for s in trial_s:
         defect = defect_measure_cts(nu, s, params)
-        verdict = positivity_test(defect, tol=tol, moment_radius=moment_radius)
+        verdict = positivity_test(defect, moment_radius=SUBINV_RADIUS)
         if not verdict.is_positive:
             failures.append(f"defect at s={np.round(s, 4).tolist()}: {verdict.describe()}")
     return (not failures), failures

@@ -53,7 +53,13 @@ from .toeplitz_algebra import (
     multiply,
     state_eval,
 )
-from .torus_measure import AtomicMeasure, MultipliedMeasure, index_box, positivity_test
+from .torus_measure import (
+    POSITIVITY_TOL,
+    AtomicMeasure,
+    MultipliedMeasure,
+    index_box,
+    positivity_test,
+)
 
 __all__ = [
     "SuiteConfig",
@@ -72,7 +78,6 @@ __all__ = [
 CLOSED_FORM_TOL = 1e-12
 ENGINE_TOL = 1e-10
 ORACLE_TOL = 1e-6
-POSITIVITY_TOL = 1e-8
 FUZZ_TOL = 1e-12
 
 
@@ -350,7 +355,7 @@ def _positivity_row(m: int, quantity: str, violation: float) -> StateReport:
 
 
 def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
-    certify = functools.partial(positivity_test, tol=POSITIVITY_TOL, moment_radius=cfg.moment_box)
+    certify = functools.partial(positivity_test, moment_radius=cfg.moment_box)
     rows = []
     for m in range(1, scenario.depth + 1):
         params = BlockParams.at_level(scenario, m)

@@ -59,6 +59,9 @@ __all__ = [
 # Fejer grid points per axis by dimension; no grid is evaluated, profilers read it.
 _DEFAULT_GRID = {1: 256, 2: 64, 3: 32}
 
+# positivity_test refutes positivity at a moment-matrix eigenvalue below -POSITIVITY_TOL.
+POSITIVITY_TOL = 1e-8
+
 
 class OutOfBox(Exception):
     """A moment was requested outside a Fourier table's stored box."""
@@ -147,14 +150,6 @@ class AtomicMeasure(TorusMeasure):
 
     # Bound in each class body so that profilers can wrap ``moment`` per class.
     moment = TorusMeasure.moment
-
-    def is_probability(self, tol: float = 1e-10) -> bool:
-        w = self.weights
-        return (
-            float(np.max(np.abs(w.imag))) <= tol
-            and float(np.min(w.real)) >= -tol
-            and abs(float(np.sum(w.real)) - 1.0) <= tol
-        )
 
 
 class UniformMeasure(TorusMeasure):
@@ -328,12 +323,7 @@ def _moment_matrix(table: np.ndarray, radius: int) -> np.ndarray:
     return table[tuple(grid[:, :, None] - grid[:, None, :] + radius)]
 
 
-def positivity_test(
-    lam: TorusMeasure,
-    *,
-    tol: float = 1e-8,
-    moment_radius: int = 5,
-) -> PositivityVerdict:
+def positivity_test(lam: TorusMeasure, *, moment_radius: int = 5) -> PositivityVerdict:
     """Necessary-condition positivity certificate for a real measure.
 
     Parameters
@@ -341,8 +331,6 @@ def positivity_test(
     lam : TorusMeasure
         Real measure (Hermitian moments); a symmetry defect above 1e-9 times
         the largest moment, or a NaN moment, raises ValueError.
-    tol : float
-        A moment-matrix eigenvalue below -tol refutes positivity.
     moment_radius : int
         Moment box radius N; the check consumes moments with |n_i| <= N.
 
@@ -350,9 +338,10 @@ def positivity_test(
     -------
     PositivityVerdict
         "positive" when the moment matrix on [0, N]^d is positive
-        semidefinite to within tol, otherwise "not_positive" with the
-        eigenvector of its smallest eigenvalue.  The Fejer density of order N
-        is a Rayleigh quotient of that matrix (module docstring).
+        semidefinite to within the constant POSITIVITY_TOL (1e-8), otherwise
+        "not_positive" with the eigenvector of its smallest eigenvalue.  The
+        Fejer density of order N is a Rayleigh quotient of that matrix
+        (module docstring).
     """
     d = lam.d
     N = int(moment_radius)
@@ -366,7 +355,7 @@ def positivity_test(
         )
     eigvals, eigvecs = np.linalg.eigh(_moment_matrix(table, N))
     min_eig = float(eigvals[0])
-    ok = min_eig >= -tol
+    ok = min_eig >= -POSITIVITY_TOL
     return PositivityVerdict(
         kind="positive" if ok else "not_positive",
         min_eigenvalue=min_eig,

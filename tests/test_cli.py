@@ -230,43 +230,6 @@ def test_report_csv_format(line_files, tmp_path):
     assert header.split(",")[:3] == ["check_id", "level", "quantity"]
 
 
-def test_levels_filter(line_files, tmp_path):
-    _root, scenario, thread = line_files
-    out = tmp_path / "lv.json"
-    code = main(
-        [
-            "report",
-            "--scenario",
-            str(scenario),
-            "--thread",
-            str(thread),
-            "--levels",
-            "1,2",
-            "--samples",
-            "10",
-            "--s-samples",
-            "4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text())
-    levels = {row["level"] for row in payload["checks"]}
-    assert levels <= {0, 1, 2}
-    assert main(
-        [
-            "report",
-            "--scenario",
-            str(scenario),
-            "--levels",
-            "7",
-            "--out",
-            str(tmp_path / "x.json"),
-        ]
-    ) == 2
-
-
 WORD = "V[0] U[1] V*[0] @ 1"
 
 
@@ -287,11 +250,15 @@ def _exit_code_and_errors(argv, capsys):
         ["validate", "--seed", "1"],
         ["state", "--word", WORD, "--seed", "1"],
         ["transform", "--transform", "nu-from-mu", "--seed", "1"],
+        ["report", "--levels", "1"],
+        ["suite", "--suite", "kms", "--levels", "1"],
+        ["validate", "--moment-box", "5"],
     ],
 )
 def test_removed_options_exit_two(line_files, capsys, argv):
-    # the oracle gate is the constant ORACLE_TOL, and only suite and report
-    # draw random samples, so no other command takes a seed
+    # the oracle gate is the constant ORACLE_TOL, only suite and report draw
+    # random samples, so no other command takes a seed, no filter hides a
+    # failing row, and validate's moment box is the constant COMPAT_RADIUS
     _root, scenario, _thread = line_files
     code, errors = _exit_code_and_errors([*argv, "--scenario", str(scenario)], capsys)
     assert code == 2
@@ -306,7 +273,7 @@ def test_removed_options_exit_two(line_files, capsys, argv):
         (["suite", "--suite", "kms", "--samples", "-1"], "--samples must be at least 1"),
         (["report", "--s-samples", "-1"], "--s-samples must be at least 0"),
         (["report", "--moment-box", "-1"], "--moment-box must be at least 0"),
-        (["validate", "--moment-box", "-1"], "--moment-box must be at least 0"),
+        (["suite", "--suite", "kms", "--moment-box", "-1"], "--moment-box must be at least 0"),
         (["transform", "--transform", "nu-from-mu", "--moment-box", "-1"],
          "--moment-box must be at least 0"),
     ],
@@ -323,7 +290,6 @@ def test_smallest_sizes_are_accepted(line_files, tmp_path, capsys):
     common = ["--scenario", str(scenario), "--thread", str(thread)]
     assert main(["report", *common, "--samples", "1", "--s-samples", "0",
                  "--moment-box", "0", "--out", str(tmp_path / "r.json")]) == 0
-    assert main(["validate", *common, "--moment-box", "0"]) == 0
     assert main(["transform", *common, "--transform", "nu-from-mu", "--moment-box", "0"]) == 0
     assert capsys.readouterr().out.endswith("n_1,Re,Im\n0,1,0\n")
 
@@ -362,11 +328,24 @@ def test_validate_rejects_non_finite_scenario(tmp_path, capsys, where):
     assert "non-finite" in out and "INVALID" in out
 
 
+def _one_violation_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"constraint violated: {prefix}")
+    assert captured.err.count("\n") == 1
+
+
 def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
+    # the input gate stops the command; C07 itself also fails on the NaN level
     bad = _poisoned_planar(tmp_path, "theta")
     args = ["suite", "--scenario", str(bad), "--suite", "consistency", "--samples", "10"]
     assert main(args) == 1
-    assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
+    _one_violation_line(capsys, "level 2: theta has a non-finite entry")
+    scenario = tk.scenario_from_json(json.loads(bad.read_text()))
+    thread = tk.build_thread(scenario, kind="uniform")
+    with np.errstate(invalid="ignore"):
+        rows = tk.run_checks(("C07",), scenario, thread, tk.SuiteConfig(samples=10))
+    assert not tk.overall_pass(rows)
 
 
 def test_engine_fuzz_fails_on_nan_theta(tmp_path):
@@ -404,7 +383,45 @@ def test_reconcile_suite_on_non_finite_tower_is_a_one_line_violation(tmp_path, c
 def test_state_on_nan_theta_exits_one(tmp_path, capsys):
     bad = _poisoned_planar(tmp_path, "theta")
     assert main(["state", "--scenario", str(bad), "--word", "V[0,0] U[1,0] V*[0,0] @ 2"]) == 1
-    assert "NON-FINITE VALUE" in capsys.readouterr().out
+    _one_violation_line(capsys, "level 2: theta has a non-finite entry")
+
+
+def test_state_flags_a_non_finite_value(line_files, capsys, monkeypatch):
+    _root, scenario, thread = line_files
+    monkeypatch.setattr("toruskms.cli.psi_eval", lambda thread, word: complex(np.nan, 0.0))
+    args = ["state", "--scenario", str(scenario), "--thread", str(thread), "--word", WORD]
+    assert main(args) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "NON-FINITE VALUE"
+
+
+def test_report_on_bent_tower_is_a_one_line_violation(tmp_path, capsys):
+    # a level relation off by 1e-3 and the default uniform thread pass every
+    # check, but every command holds its inputs to validate's gate
+    obj = json.loads((SCENARIOS / "planar_tower.json").read_text())
+    obj["levels"][1]["theta"][0][0] += 1e-3
+    bent = tmp_path / "bent.json"
+    bent.write_text(json.dumps(obj))
+    assert main(["validate", "--scenario", str(bent)]) == 1
+    assert capsys.readouterr().out.endswith("INVALID\n")
+    args = ["report", "--scenario", str(bent), "--samples", "5", "--s-samples", "1"]
+    assert main(args) == 1
+    _one_violation_line(capsys, "levels 1->2: D_m theta_(m+1) E_m differs from theta_m")
+
+
+def test_validate_rejects_a_thread_off_by_4e_11(tmp_path, capsys):
+    # 4e-11 passes the loader's 1e-10 point check; the moment gate on
+    # |n_i| <= COMPAT_RADIUS amplifies it past COMPAT_TOL
+    scenario = tk.scenario_from_json(json.loads((SCENARIOS / "line_tower.json").read_text()))
+    good = tk.build_thread(scenario, kind="point", y1=np.array([0.3]))
+    points = [measure.points[0].tolist() for measure in good.measures]
+    points[-1][0] += 4e-11
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps({"kind": "point", "points": points}))
+    common = ["--scenario", str(SCENARIOS / "line_tower.json"), "--thread", str(off)]
+    assert main(["validate", *common]) == 1
+    assert "levels 3->4: compatibility defect" in capsys.readouterr().out
+    assert main(["state", *common, "--word", "V[0] U[1] V*[0] @ 1"]) == 1
+    _one_violation_line(capsys, "levels 3->4: compatibility defect")
 
 
 def _line_with_nan(tmp_path, field: str):

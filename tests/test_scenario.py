@@ -48,6 +48,11 @@ def test_violations_report_broken_relation(line_scenario):
     assert any("theta" in p for p in problems)
 
 
+def test_validate_scenario_has_no_tolerance_keyword(line_scenario):
+    with pytest.raises(TypeError):
+        tk.validate_scenario(line_scenario, tol=1.0)
+
+
 def test_violations_report_broken_rates(line_scenario):
     lv = list(line_scenario.levels)
     lv[2] = tk.LevelData(

@@ -162,6 +162,14 @@ def test_consistency_breaks_for_corrupted_thread(line_scenario):
     assert tk.consistency_residual(bad, w) > 1e-3
 
 
+@pytest.mark.parametrize("keyword, value", [("moment_radius", 0), ("tol", 1.0)])
+def test_validate_thread_has_no_coverage_or_tolerance_keyword(line_point_thread, keyword, value):
+    # the box and the gate are COMPAT_RADIUS and COMPAT_TOL, so no caller can
+    # pass a thread that `validate` rejects
+    with pytest.raises(TypeError):
+        tk.validate_thread(line_point_thread, **{keyword: value})
+
+
 def test_validate_thread_flags_non_finite_moments(line_scenario):
     good = tk.build_thread(line_scenario, kind="point", y1=np.array([0.3]))
     measures = list(good.measures)

@@ -208,14 +208,35 @@ def test_check_subinvariance_accepts_and_rejects():
     rng = np.random.default_rng(8)
     params = random_block(rng, 2, 1)
     good = tk.nu_from_mu(random_atomic(rng, 2), params)
-    ok, failures = tk.check_subinvariance(good, params, samples=6, seed=0)
+    ok, failures = tk.check_subinvariance(good, params)
     assert ok and failures == []
     signed = tk.nu_from_mu(
         tk.AtomicMeasure(rng.random((2, 2)), np.array([1.0, -0.4])), params, check=False
     )
-    ok2, failures2 = tk.check_subinvariance(signed, params, samples=8, seed=0)
+    ok2, failures2 = tk.check_subinvariance(signed, params)
     assert not ok2
     assert failures2
+
+
+SIGNED_NU = tk.AtomicMeasure(np.array([[0.1], [0.6]]), np.array([1.5, -0.5]))
+
+
+def test_check_subinvariance_fails_a_signed_measure_at_its_constants(line_scenario):
+    # nu itself, the defect at s = 1 and every drawn defect each fail
+    params = tk.BlockParams.at_level(line_scenario, 1)
+    ok, failures = tk.check_subinvariance(SIGNED_NU, params)
+    assert not ok
+    assert len(failures) == 2 + tk.subinvariance.SUBINV_DRAWS
+
+
+@pytest.mark.parametrize(
+    "keyword, value", [("samples", 0), ("seed", 1), ("moment_radius", 0), ("tol", 10.0)]
+)
+def test_check_subinvariance_has_no_coverage_or_tolerance_keyword(line_scenario, keyword, value):
+    # moment_radius=0 or tol=10 once passed SIGNED_NU
+    params = tk.BlockParams.at_level(line_scenario, 1)
+    with pytest.raises(TypeError):
+        tk.check_subinvariance(SIGNED_NU, params, **{keyword: value})
 
 
 def test_numeric_limit_recovers_mu_moment():

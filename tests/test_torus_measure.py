@@ -163,6 +163,15 @@ def test_positivity_flags_signed_measures_with_witness():
     assert "not positive" in text
 
 
+def test_positivity_gate_is_a_constant():
+    # an eigenvalue in [-1e-7, -1e-8) once passed check_subinvariance's looser
+    # default; every caller now refutes positivity at the same gate
+    assert tk.torus_measure.POSITIVITY_TOL == 1e-8
+    mu = tk.AtomicMeasure(np.array([[0.1], [0.6]]), np.array([1.0, -0.5]))
+    with pytest.raises(TypeError):
+        tk.positivity_test(mu, tol=10.0)
+
+
 def _fejer_mean(table, radius, grid_n):
     """The Fejer mean of order radius on the grid (Z/grid_n)^d, by FFT."""
     d = table.ndim
@@ -207,7 +216,7 @@ def test_fejer_mean_never_falls_below_the_spectrum_floor(case):
     mu, radius = case
     table = tk.moment_table(mu, radius)
     scale = max(1.0, float(np.max(np.abs(table))))
-    verdict = tk.positivity_test(mu, tol=1e-8, moment_radius=radius)
+    verdict = tk.positivity_test(mu, moment_radius=radius)
     density = _fejer_mean(table, radius, {1: 256, 2: 64, 3: 32}[mu.d])
     assert density.min() >= verdict.min_eigenvalue - 1e-12 * scale
     two_part = density.min() >= -1e-8 and verdict.min_eigenvalue >= -1e-8

@@ -93,7 +93,6 @@ from .solenoid_limit import (
     normalized_nu,
     preimage_points,
     psi_eval,
-    psi_eval_element,
     sigma_map,
     thread_from_json,
     validate_thread,

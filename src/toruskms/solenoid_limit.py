@@ -7,16 +7,16 @@ mu_(m+1), i.e. on moments
 
     moment(mu_m, n) = moment(mu_(m+1), E_m n)     for all n in Z^d.
 
-A compatible thread induces one state on every level's word algebra at once:
+A compatible thread induces one state psi on every level's word algebra at
+once: at level m, psi is the equilibrium functional (``state_eval``) of the
+probability measure nu_m = c_m * nu_from_mu(mu_m), c_m = prod_j beta r_j^m,
 
     psi(V_p U_n V*_q at level m)
         = [p == q] e^(-beta p.r^m)
           * prod_j  beta r_j^m / (beta r_j^m - 2 pi i (theta_m n)_j)
-          * moment(mu_m, n),
+          * moment(mu_m, n).
 
-the same value the level's equilibrium functional assigns when fed the
-normalized Laplace average nu_m = c_m * nu_from_mu(mu_m), c_m = prod_j
-beta r_j^m.  The exact relations between levels telescope the linear factors,
+The exact relations between levels telescope the linear factors,
 
     beta r_j^(m+1) - 2 pi i (theta_(m+1) E_m n)_j
         = (beta r_j^m - 2 pi i (theta_m n)_j) / D_m[j, j],
@@ -27,6 +27,7 @@ so embedding a word as (D_m p, E_m n, D_m q) does not change its psi value;
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,12 +35,13 @@ import numpy as np
 
 from .scenario import Scenario
 from .subinvariance import BlockParams, nu_from_mu
-from .toeplitz_algebra import AlgebraElement, Word
+from .toeplitz_algebra import AlgebraElement, Word, state_eval
 from .torus_measure import (
     AtomicMeasure,
     MultipliedMeasure,
     TorusMeasure,
     UniformMeasure,
+    atomic_from_json,
     index_box,
     pushforward_dual,
     reduce_mod_1,
@@ -58,14 +60,11 @@ __all__ = [
     "thread_from_json",
     "sigma_map",
     "psi_eval",
-    "psi_eval_element",
     "consistency_residual",
     "preimage_points",
     "validate_thread",
     "normalized_nu",
 ]
-
-TWO_PI_I = 2j * np.pi
 
 COMPAT_TOL = 1e-12
 COMPAT_RADIUS = 5
@@ -111,6 +110,7 @@ class SolenoidMeasureThread:
 
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "_states", {})  # level m -> (block, nu_m), see _state
         if len(self.measures) != self.scenario.depth:
             raise InvalidThread("thread needs one measure per scenario level")
         for mu in self.measures:
@@ -121,6 +121,14 @@ class SolenoidMeasureThread:
         if not 1 <= m <= self.scenario.depth:
             raise InvalidThread(f"level {m} outside 1..{self.scenario.depth}")
         return self.measures[m - 1]
+
+    def _state(self, m: int) -> Tuple[BlockParams, TorusMeasure]:
+        """(block, nu_m) of level m, built on first use, so an invalid block raises only here."""
+        if m not in self._states:
+            mu = self.measure(m)
+            params = BlockParams.at_level(self.scenario, m)
+            self._states[m] = (params, _normalized_average(mu, params))
+        return self._states[m]
 
 
 def embed_word(w: Word, scenario: Scenario) -> Word:
@@ -215,10 +223,6 @@ def build_thread(
 
 def thread_from_json(obj, scenario: Scenario) -> SolenoidMeasureThread:
     """Load a thread from {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}."""
-    import json
-
-    from .torus_measure import atomic_from_json
-
     if hasattr(obj, "read"):
         obj = json.load(obj)
     elif isinstance(obj, (str, bytes)):
@@ -280,51 +284,34 @@ def sigma_map(nu_next: TorusMeasure, scenario: Scenario, m: int) -> TorusMeasure
     return MultipliedMeasure(pushed, lambda N, c=det_d: 1.0 / c, tag=f"sigma_{m}")
 
 
+def _normalized_average(mu: TorusMeasure, params: BlockParams) -> TorusMeasure:
+    """c * nu_from_mu(mu) with c = prod_j beta r_j, a probability measure when mu is one."""
+    nu = nu_from_mu(mu, params, check=False)
+    return MultipliedMeasure(nu, lambda N, c=params.mass_factor(): c, tag="normalize")
+
+
 def normalized_nu(thread: SolenoidMeasureThread, m: int) -> TorusMeasure:
     """The probability measure nu_m = c_m * nu_from_mu(mu_m) of thread level m."""
-    params = BlockParams.at_level(thread.scenario, m)
-    nu = nu_from_mu(thread.measure(m), params, check=False)
-    c_m = params.mass_factor()
-    return MultipliedMeasure(nu, lambda N, c=c_m: c, tag=f"normalize(c_{m})")
+    return thread._state(m)[1]
 
 
 def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     """Value of the thread's solenoid state on a single spanning word.
 
-    psi(V_p U_n V*_q at m) = [p == q] e^(-beta p.r^m) * prod_j beta r_j^m /
-    (beta r_j^m - 2 pi i (theta_m n)_j) * moment(mu_m, n).  Raises
-    InvalidThread when the word's level exceeds the thread's depth.
+    state_eval of normalized_nu(thread, m) on w, where m is the word's level.
+    Raises InvalidThread when m is outside the thread's depth.
     """
-    scen = thread.scenario
-    if not 1 <= w.level <= scen.depth:
-        raise InvalidThread(f"word level {w.level} outside thread depth {scen.depth}")
-    if w.p != w.q:
-        return 0j
-    lvl = scen.level(w.level)
-    beta = scen.beta
-    n = np.asarray(w.n, dtype=np.int64)
-    gap = float(np.asarray(w.p, dtype=np.int64) @ lvl.r)
-    t = lvl.theta @ n.astype(float)
-    factors = (beta * lvl.r) / (beta * lvl.r - TWO_PI_I * t)
-    return complex(
-        np.exp(-beta * gap) * np.prod(factors) * thread.measure(w.level).moment(n)
-    )
-
-
-def psi_eval_element(thread: SolenoidMeasureThread, a: AlgebraElement) -> complex:
-    """Linear extension of psi_eval to algebra elements."""
-    return complex(sum(c * psi_eval(thread, w) for w, c in a.terms.items()))
+    params, nu = thread._state(w.level)
+    return state_eval(nu, params, AlgebraElement.from_word(w), check_state=False)
 
 
 def consistency_residual(thread: SolenoidMeasureThread, w: Word) -> float:
     """|psi(embedded word) - psi(word)|; zero for compatible threads.
 
     The level relations telescope the linear factors and the thread relation
-    matches the moments, so the embedding preserves psi exactly.
+    matches the moments, so the embedding preserves psi exactly.  A word at
+    the top level raises TopLevel.
     """
-    if w.level >= thread.scenario.depth:
-        raise TopLevel(f"word at level {w.level} has no next level in depth "
-                       f"{thread.scenario.depth}")
     return abs(psi_eval(thread, embed_word(w, thread.scenario)) - psi_eval(thread, w))
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -250,16 +250,11 @@ def defect_measure_finite(
     return MultipliedMeasure(nu, multiplier, tag=f"finite-defect(F={[a.tolist() for a in fam]})")
 
 
-def defect_measure_cts(
-    nu: TorusMeasure,
-    s,
-    params: BlockParams,
-    axes: Optional[Sequence[int]] = None,
-) -> MultipliedMeasure:
+def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMeasure:
     """Defect of nu with respect to fractional steps s in [0, infinity)^k.
 
-    Removes, for each axis j (or each j in ``axes`` when given), the factor
-    (1 - e^(-beta s_j r_j) R_{s_j theta_j^T}); the moment multiplier is
+    Removes, for each axis j, the factor (1 - e^(-beta s_j r_j) R_{s_j theta_j^T});
+    the moment multiplier is
 
         prod_j (1 - e^(-beta s_j r_j) e^(2 pi i s_j (theta n)_j)).
 
@@ -272,22 +267,17 @@ def defect_measure_cts(
         raise ValueError(f"s must be a vector of length {params.k}")
     if np.any(s < 0):
         raise NegativeS(f"s must be entrywise nonnegative, got {s.tolist()}")
-    if axes is None:
-        axes_arr = np.arange(params.k)
-    else:
-        axes_arr = np.asarray(sorted(set(int(a) for a in axes)), dtype=np.int64)
-        if len(axes_arr) and (axes_arr[0] < 0 or axes_arr[-1] >= params.k):
-            raise ValueError("axes must be a subset of range(k)")
     s = s.copy()
     s.setflags(write=False)
 
-    def multiplier(N, s=s, axes_arr=axes_arr, p=params):
+    def multiplier(N, s=s, p=params):
         t = p.theta_dot(N)
         factors = 1.0 - np.exp(-p.beta * s * p.r + TWO_PI_I * s * t)
-        return np.prod(factors[:, axes_arr], axis=1)
+        # multiply column by column: numpy rounds a complex product along
+        # contiguous rows differently in the last bit, which moves C04 rows
+        return np.prod(np.asfortranarray(factors), axis=1)
 
-    tag = f"cts-defect(s={s.tolist()}" + (")" if axes is None else f", axes={axes_arr.tolist()})")
-    return MultipliedMeasure(nu, multiplier, tag=tag)
+    return MultipliedMeasure(nu, multiplier, tag=f"cts-defect(s={s.tolist()})")
 
 
 def numeric_limit_mu(

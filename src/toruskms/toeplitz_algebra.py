@@ -42,7 +42,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .subinvariance import BlockParams
+from .subinvariance import TWO_PI_I, BlockParams
 from .torus_measure import AtomicMeasure, TorusMeasure
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 PRUNE_TOL = 1e-15
-
-TWO_PI_I = 2j * math.pi
 
 
 class LevelMismatch(Exception):

@@ -214,7 +214,9 @@ class MultipliedMeasure(TorusMeasure):
         self.d = base.d
 
     def moments(self, N) -> np.ndarray:
-        return np.broadcast_to(self.multiplier(N), (len(N),)) * self.base.moments(N)
+        # out= rejects a multiplier that does not broadcast to the (B,) batch
+        out = np.empty(len(N), dtype=complex)
+        return np.multiply(self.multiplier(N), self.base.moments(N), out=out)
 
     moment = TorusMeasure.moment
 

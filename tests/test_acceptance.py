@@ -123,3 +123,17 @@ def test_criterion_11_engine_fuzz(line_scenario, line_point_thread):
         "engine fuzz, 500 instances at 1e-12, plus 20 dense-matrix products",
         rows,
     )
+
+
+def test_criterion_12_psi_oracle(
+    line_scenario, line_point_thread, planar_scenario, planar_point_thread
+):
+    rows = _run("C12", line_scenario, line_point_thread)
+    rows += _run("C12", planar_scenario, planar_point_thread)
+    _report(
+        12,
+        "solenoid state vs quadrature, 10 diagonal words per level, "
+        "line and planar towers, at 1e-6",
+        rows,
+    )
+    assert len(rows) == line_scenario.depth + planar_scenario.depth

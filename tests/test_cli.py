@@ -202,7 +202,7 @@ def test_report_json_deterministic(line_files, tmp_path):
     assert payload["overall_pass"] is True
     assert payload["config"]["seed"] == 9
     ids = {row["check_id"] for row in payload["checks"]}
-    assert ids == {f"C{i:02d}" for i in range(1, 12)}
+    assert ids == {f"C{i:02d}" for i in range(1, 13)}
 
 
 def test_report_csv_format(line_files, tmp_path):
@@ -336,16 +336,16 @@ def _one_violation_line(capsys, prefix):
 
 
 def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
-    # the input gate stops the command; C07 itself also fails on the NaN level
+    # the input gate stops the command; C07 itself evaluates psi through the
+    # NaN level's block, which raises as it does in C02-C05
     bad = _poisoned_planar(tmp_path, "theta")
     args = ["suite", "--scenario", str(bad), "--suite", "consistency", "--samples", "10"]
     assert main(args) == 1
     _one_violation_line(capsys, "level 2: theta has a non-finite entry")
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
     thread = tk.build_thread(scenario, kind="uniform")
-    with np.errstate(invalid="ignore"):
-        rows = tk.run_checks(("C07",), scenario, thread, tk.SuiteConfig(samples=10))
-    assert not tk.overall_pass(rows)
+    with pytest.raises(tk.InvalidBlock, match="level 2: theta, r and beta must be finite"):
+        tk.run_checks(("C07",), scenario, thread, tk.SuiteConfig(samples=10))
 
 
 def test_engine_fuzz_fails_on_nan_theta(tmp_path):

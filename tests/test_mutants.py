@@ -5,19 +5,104 @@ is copied or edited.  A check can only see a closed-form bug if its reference
 route does not share the mutated code: the quadrature oracle computes
 (theta n)_j from the raw theta, so a phase bug in ``BlockParams.theta_dot``
 moves the closed form and not the oracle.
+
+The mutants below run at a reduced configuration on the line tower with its
+point thread and on the planar tower with ``planar_point_thread.json``; the
+planar uniform thread's moments vanish off n = 0, which hides phase bugs.
+
+| mutant                                          | fails          |
+| ----------------------------------------------- | -------------- |
+| ``BlockParams.theta_dot`` of theta mod 1        | C01            |
+| ``state_eval`` without e^(-beta p.r)            | C06            |
+| +2 pi i in ``_laplace_factors``                 | C01, C04, C10  |
+| conjugated phase in ``defect_measure_cts``      | C04            |
+| normalization constant c_m dropped or doubled   | C12            |
+
+One mutant is equivalent and has no test: dropping the mod 1 in
+``toeplitz_algebra._theta_dots``.  Every phase exponent there pairs theta with
+integer vectors on both sides, so shifting theta by integers changes each
+phase by a multiple of 2 pi.  The reduction only keeps the exponents O(1), so
+rounding stays off the phases; with it dropped, every check still passes on
+both towers at the configuration below.
 """
 
 from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toruskms as tk
+from toruskms import solenoid_limit, subinvariance, toeplitz_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
+CFG = tk.SuiteConfig(samples=10, s_samples=5, moment_box=3, fuzz_count=40)
+TOWERS = {
+    "line": ("scenarios/line_tower.json", "scenarios/point_thread.json"),
+    "planar": ("scenarios/planar_tower.json", "perfbench/data/planar_point_thread.json"),
+}
+
+
+def _load(tower):
+    # a fresh thread per test: a thread keeps each level's normalized measure,
+    # so a shared one would carry a mutant's measure into later tests
+    scenario_file, thread_file = TOWERS[tower]
+    scenario = tk.scenario_from_json(json.loads((ROOT / scenario_file).read_text()))
+    return scenario, tk.thread_from_json(json.loads((ROOT / thread_file).read_text()), scenario)
+
+
+def _patch(monkeypatch, module, name, mutant):
+    """Bind mutant to name in every toruskms module that imported the original."""
+    original = getattr(module, name)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "toruskms" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, mutant)
 
 
 def _theta_dot_mod_one(self, n):
     # psi depends on theta n, not on (theta mod 1) n: a phase bug
     return np.asarray(n, dtype=float) @ np.mod(self.theta, 1.0).T
+
+
+def _state_without_weight(nu, params, a, check_state=True):
+    return complex(sum(c * nu.moment(w.n) for w, c in a.terms.items() if w.p == w.q))
+
+
+def _laplace_factors_plus(params, N):
+    return params.beta * params.r + subinvariance.TWO_PI_I * params.theta_dot(N)
+
+
+_DEFECT_CTS = subinvariance.defect_measure_cts
+_NORMALIZED = solenoid_limit._normalized_average
+
+
+def _defect_cts_conjugated(nu, s, params):
+    # the multiplier at -n is the one with e^(-2 pi i s_j (theta n)_j)
+    multiplier = _DEFECT_CTS(nu, s, params).multiplier
+    return tk.MultipliedMeasure(nu, lambda N: multiplier(-N), tag="mutant")
+
+
+def _normalized_without_c(mu, params):
+    return tk.nu_from_mu(mu, params, check=False)
+
+
+def _normalized_doubled(mu, params):
+    return tk.MultipliedMeasure(_NORMALIZED(mu, params), lambda N: 2.0, tag="mutant")
+
+
+MUTANTS = {
+    "state_eval_unweighted": (
+        toeplitz_algebra, "state_eval", _state_without_weight, ("C06",)),
+    "laplace_factors_plus": (
+        subinvariance, "_laplace_factors", _laplace_factors_plus, ("C01", "C04", "C10")),
+    "cts_defect_conjugated": (
+        subinvariance, "defect_measure_cts", _defect_cts_conjugated, ("C04",)),
+    "c_m_dropped": (solenoid_limit, "_normalized_average", _normalized_without_c, ("C12",)),
+    "c_m_doubled": (solenoid_limit, "_normalized_average", _normalized_doubled, ("C12",)),
+}
 
 
 @pytest.mark.parametrize("tower", ["line", "planar"])
@@ -30,3 +115,28 @@ def test_theta_mod_one_fails_the_quadrature_check(tower, monkeypatch, request):
     rows = tk.run_checks(("C01",), scenario, thread, cfg)
     assert not tk.overall_pass(rows)
     assert rows[0].residual > 1e-3
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_unmutated_code_passes_every_check(tower):
+    scenario, thread = _load(tower)
+    assert tk.overall_pass(tk.run_checks(tk.SUITES["all"], scenario, thread, CFG))
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutant_fails_its_checks(mutant, tower, monkeypatch):
+    module, name, replacement, checks = MUTANTS[mutant]
+    scenario, thread = _load(tower)
+    _patch(monkeypatch, module, name, replacement)
+    rows = tk.run_checks(checks, scenario, thread, CFG)
+    for check_id in checks:
+        assert any(r.status == "fail" for r in rows if r.check_id == check_id), check_id
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_conjugated_defect_phase_fails_c04_by_a_margin(tower, monkeypatch):
+    scenario, thread = _load(tower)
+    _patch(monkeypatch, subinvariance, "defect_measure_cts", _defect_cts_conjugated)
+    rows = tk.run_checks(("C04",), scenario, thread, CFG)
+    assert max(r.residual for r in rows) >= 1.35e-2

@@ -42,6 +42,15 @@ were written from the repository root by
         --format csv --out tests/data/report_line_reduced_parent.csv
 
 and the same command with ``--format text`` and ``.txt``.
+
+C12 (the solenoid state against its quadrature oracle) was added after every
+file here was frozen.  Its rows, and its lines in the CSV and text bytes, are
+dropped by check id before comparing; every other row and line is compared
+as before.  The two C07 values of ``report_cubic_rows_parent.json`` were
+re-frozen when ``psi_eval`` became ``state_eval`` of ``normalized_nu``: that
+route rounds e * (P * M) where the old one rounded (e * P) * M, for the
+weight e, the Laplace factor P and the moment M, and both rows are rounding
+noise around a true 0.
 """
 
 from __future__ import annotations
@@ -56,6 +65,22 @@ from toruskms.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 REDUCED = ["--samples", "10", "--s-samples", "5", "--moment-box", "3"]
 NUMERIC = ("value_re", "value_im", "reference_re", "reference_im", "residual", "bound")
+ADDED = "C12"
+
+
+def _frozen_rows(payload: dict) -> list:
+    return [row for row in payload["checks"] if row["check_id"] != ADDED]
+
+
+def _frozen_lines(data: bytes) -> bytes:
+    """The CSV or text bytes without the lines of the check added since the freeze."""
+    kept, inside = [], False
+    for line in data.splitlines(keepends=True):
+        if not line.startswith(b" "):  # a text header or verdict, or any CSV line
+            inside = line.startswith(f"[{ADDED}]".encode())
+        if not (inside or line.startswith(f"{ADDED},".encode())):
+            kept.append(line)
+    return b"".join(kept)
 
 
 @pytest.mark.parametrize("tower, thread", [("line", "point_thread.json"), ("planar", None)])
@@ -69,8 +94,8 @@ def test_report_matches_frozen_rows(tower, thread, tmp_path):
     got = json.loads(out.read_text())
     frozen = json.loads((ROOT / "tests" / "data" / f"report_{tower}_reduced.json").read_text())
     assert got["overall_pass"] == frozen["overall_pass"]
-    assert len(got["checks"]) == len(frozen["checks"])
-    for new, old in zip(got["checks"], frozen["checks"]):
+    assert len(_frozen_rows(got)) == len(frozen["checks"])
+    for new, old in zip(_frozen_rows(got), frozen["checks"]):
         for key in ("check_id", "level", "quantity", "pass"):
             assert new[key] == old[key], (old["check_id"], old["level"], key)
         for key in NUMERIC:
@@ -105,7 +130,7 @@ def test_report_rows_equal_parent_rows_exactly(tower, thread, seed, sizes, froze
     got = json.loads(out.read_text())
     frozen = json.loads((ROOT / "tests" / "data" / frozen_name).read_text())
     assert got["overall_pass"] == frozen["overall_pass"]
-    assert got["checks"] == frozen["checks"]
+    assert _frozen_rows(got) == frozen["checks"]
 
 
 @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("text", "txt")])
@@ -116,4 +141,4 @@ def test_line_report_bytes_equal_frozen_bytes(fmt, suffix, tmp_path):
             *REDUCED, "--format", fmt, "--out", str(out)]
     assert main(args) == 0
     frozen = ROOT / "tests" / "data" / f"report_line_reduced_parent.{suffix}"
-    assert out.read_bytes() == frozen.read_bytes()
+    assert _frozen_lines(out.read_bytes()) == frozen.read_bytes()

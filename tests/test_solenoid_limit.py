@@ -125,14 +125,17 @@ def test_psi_rejects_levels_beyond_depth(line_point_thread):
         tk.psi_eval(line_point_thread, tk.Word(p=(0,), n=(0,), q=(0,), level=9))
 
 
-def test_psi_element_linear(line_point_thread):
+def test_psi_element_linear(line_scenario, line_point_thread):
+    # psi on an element is state_eval of the level's normalized measure
     w1 = tk.Word(p=(0,), n=(1,), q=(0,), level=1)
     w2 = tk.Word(p=(1,), n=(0,), q=(1,), level=1)
     a = tk.AlgebraElement(1, {w1: 2.0, w2: -1j})
     expected = 2.0 * tk.psi_eval(line_point_thread, w1) - 1j * tk.psi_eval(
         line_point_thread, w2
     )
-    assert abs(tk.psi_eval_element(line_point_thread, a) - expected) < 1e-14
+    nu = tk.normalized_nu(line_point_thread, 1)
+    value = tk.state_eval(nu, tk.BlockParams.at_level(line_scenario, 1), a)
+    assert abs(value - expected) < 1e-14
 
 
 def test_consistency_residual_vanishes(line_point_thread, planar_point_thread):

@@ -192,16 +192,10 @@ def test_cts_defect_rejects_negative_s():
         tk.defect_measure_cts(nu, np.array([-0.5]), params)
 
 
-def test_cts_defect_partial_axes():
-    rng = np.random.default_rng(7)
-    params = random_block(rng, 1, 2)
-    nu = tk.nu_from_mu(random_atomic(rng, 1), params)
-    # defect on axis 0 only, then axis 1 on top of it, equals the full defect
-    one = tk.defect_measure_cts(nu, np.array([0.7, 0.0]), params, axes=[0])
-    both = tk.defect_measure_cts(one, np.array([0.0, 1.1]), params, axes=[1])
-    full = tk.defect_measure_cts(nu, np.array([0.7, 1.1]), params)
-    for n in ([0], [2], [-3]):
-        assert abs(both.moment(n) - full.moment(n)) < 1e-13
+def test_cts_defect_has_no_axes_keyword():
+    params = _unit_block()
+    with pytest.raises(TypeError):
+        tk.defect_measure_cts(tk.UniformMeasure(1), np.array([0.5]), params, axes=[0])
 
 
 def test_check_subinvariance_accepts_and_rejects():
@@ -301,9 +295,9 @@ def test_at_level_raises_invalid_block_naming_the_level(line_scenario):
 def test_defects_are_multiplied_measures_with_tags():
     params = _unit_block()
     finite = tk.defect_measure_finite(tk.UniformMeasure(1), [np.array([1])], params)
-    cts = tk.defect_measure_cts(tk.UniformMeasure(1), np.array([0.5]), params, axes=[0])
+    cts = tk.defect_measure_cts(tk.UniformMeasure(1), np.array([0.5]), params)
     assert type(finite) is tk.MultipliedMeasure and finite.tag == "finite-defect(F=[[1]])"
-    assert type(cts) is tk.MultipliedMeasure and cts.tag == "cts-defect(s=[0.5], axes=[0])"
+    assert type(cts) is tk.MultipliedMeasure and cts.tag == "cts-defect(s=[0.5])"
 
 
 def test_finite_defect_of_a_nan_block_has_nan_moments():

@@ -25,9 +25,9 @@ def test_suite_names_cover_all_checks():
     assert tk.SUITES["kms"] == ("C05", "C06", "C11")
     assert tk.SUITES["subinv"] == ("C01", "C02", "C04")
     assert tk.SUITES["roundtrip"] == ("C03", "C09", "C10")
-    assert tk.SUITES["consistency"] == ("C07",)
+    assert tk.SUITES["consistency"] == ("C07", "C12")
     assert tk.SUITES["reconcile"] == ("C08",)
-    assert set(tk.SUITES["all"]) == {f"C{i:02d}" for i in range(1, 12)}
+    assert set(tk.SUITES["all"]) == {f"C{i:02d}" for i in range(1, 13)}
 
 
 def test_all_checks_pass_on_line_tower(line_scenario, line_point_thread):
@@ -77,6 +77,28 @@ def test_corrupted_thread_fails_consistency(line_scenario):
     rows = tk.run_checks(("C07",), line_scenario, bad, _small_cfg())
     assert not tk.overall_pass(rows)
     assert any(r.status == "fail" for r in rows)
+
+
+def test_render_text_prints_how_a_failing_residual_stands_to_its_bound(line_scenario):
+    good = tk.build_thread(line_scenario, kind="point", y1=np.array([0.3]))
+    measures = list(good.measures)
+    measures[1] = tk.AtomicMeasure(np.array([[0.77]]), np.array([1.0]))
+    bad = tk.SolenoidMeasureThread(line_scenario, tuple(measures))
+    rows = tk.run_checks(("C07",), line_scenario, bad, _small_cfg())
+    lines = tk.render_text(rows).splitlines()
+    failing = [line for line in lines if line.startswith("  FAIL level 1:")]
+    assert len(failing) == 1 and f"residual {rows[0].residual:.3e} > bound 1.000e-10" in failing[0]
+    # a NaN is never within its bound; a row that fails with its residual
+    # inside the bound (C10's order row) and every passing row print <=
+    synthetic = [
+        tk.StateReport("C07", 1, "nan", math.nan, 0.0, math.nan, 1e-10, "fail"),
+        tk.StateReport("C10", 0, "order", 0.5, 1.0, 0.0, 0.0, "fail"),
+        tk.StateReport("C10", 0, "mass", 1.0, 1.0, 0.0, 1e-12, "pass"),
+    ]
+    text = tk.render_text(synthetic)
+    assert "| residual nan > bound 1.000e-10" in text
+    assert "FAIL: order | residual 0.000e+00 <= bound 0.000e+00" in text
+    assert "PASS: mass | residual 0.000e+00 <= bound 1.000e-12" in text
 
 
 def test_render_text_contains_verdict(line_scenario, line_uniform_thread):

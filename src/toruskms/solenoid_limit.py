@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,13 +282,17 @@ def sigma_map(nu_next: TorusMeasure, scenario: Scenario, m: int) -> TorusMeasure
     lvl = scenario.level(m)
     det_d = float(lvl.det_D())
     pushed = pushforward_dual(nu_next, lvl.E)
-    return MultipliedMeasure(pushed, lambda N, c=det_d: 1.0 / c, tag=f"sigma_{m}")
+    return MultipliedMeasure(pushed, partial(_constant, 1.0 / det_d), tag=f"sigma_{m}")
+
+
+def _constant(c: float, N) -> float:
+    return c
 
 
 def _normalized_average(mu: TorusMeasure, params: BlockParams) -> TorusMeasure:
     """c * nu_from_mu(mu) with c = prod_j beta r_j, a probability measure when mu is one."""
     nu = nu_from_mu(mu, params, check=False)
-    return MultipliedMeasure(nu, lambda N, c=params.mass_factor(): c, tag="normalize")
+    return MultipliedMeasure(nu, partial(_constant, params.mass_factor()), tag="normalize")
 
 
 def normalized_nu(thread: SolenoidMeasureThread, m: int) -> TorusMeasure:

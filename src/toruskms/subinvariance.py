@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -148,6 +149,12 @@ def _laplace_factors(params: BlockParams, N) -> np.ndarray:
     return params.beta * params.r - TWO_PI_I * params.theta_dot(N)
 
 
+def _factor_product(factors, invert: bool, params: BlockParams, N) -> np.ndarray:
+    """prod_j of the factors (or their reciprocals) at each index; a partial of it pickles."""
+    values = factors(params, N)
+    return np.prod(1.0 / values if invert else values, axis=1)
+
+
 def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> MultipliedMeasure:
     """Laplace-weighted translation average of a positive measure mu.
 
@@ -164,7 +171,7 @@ def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
         _require_nonnegative(mu)
     return MultipliedMeasure(
         mu,
-        lambda N, p=params: np.prod(1.0 / _laplace_factors(p, N), axis=1),
+        partial(_factor_product, _laplace_factors, True, params),
         tag="laplace-average(theta,r,beta)",
     )
 
@@ -183,7 +190,7 @@ def mu_from_nu(nu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
             raise NotSubinvariant("; ".join(failures[:3]))
     return MultipliedMeasure(
         nu,
-        lambda N, p=params: np.prod(_laplace_factors(p, N), axis=1),
+        partial(_factor_product, _laplace_factors, False, params),
         tag="laplace-average-inverse(theta,r,beta)",
     )
 
@@ -203,7 +210,7 @@ def nu_from_kappa(kappa: TorusMeasure, params: BlockParams) -> MultipliedMeasure
     _check_dims(kappa, params)
     return MultipliedMeasure(
         kappa,
-        lambda N, p=params: np.prod(1.0 / _geometric_factors(p, N), axis=1),
+        partial(_factor_product, _geometric_factors, True, params),
         tag="geometric-resolvent(theta,r,beta)",
     )
 
@@ -213,7 +220,7 @@ def kappa_from_nu(nu: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
     _check_dims(nu, params)
     return MultipliedMeasure(
         nu,
-        lambda N, p=params: np.prod(_geometric_factors(p, N), axis=1),
+        partial(_factor_product, _geometric_factors, False, params),
         tag="geometric-resolvent-inverse(theta,r,beta)",
     )
 

@@ -179,9 +179,9 @@ def _random_block(rng, d: int, k: int) -> BlockParams:
     )
 
 
-def _random_atomic(rng, d: int, atoms: int = 3, mass: float = 1.0) -> AtomicMeasure:
-    points = rng.random((atoms, d))
-    weights = rng.dirichlet(np.ones(atoms)) * mass
+def _random_atomic(rng, d: int, mass: float = 1.0) -> AtomicMeasure:
+    points = rng.random((3, d))
+    weights = rng.dirichlet(np.ones(3)) * mass
     return AtomicMeasure(points, weights)
 
 
@@ -199,17 +199,11 @@ def _ints(rng, low: int, high: int, size: int) -> Tuple[int, ...]:
     return tuple(rng.integers(low, high, size=size).tolist())
 
 
-def _random_word(rng, k: int, d: int, level: int, diagonal: bool = False) -> Word:
-    p = _ints(rng, 0, 4, k)
-    q = p if diagonal else _ints(rng, 0, 4, k)
-    return Word(p=p, n=_ints(rng, -3, 4, d), q=q, level=level)
-
-
-def _random_element(rng, k: int, d: int, level: int, terms: int = 2) -> AlgebraElement:
+def _element(pq, ns, coeffs, level: int) -> AlgebraElement:
+    """Sum of coeffs[i] V_p U_n V*_q over the rows (p, q) of pq and n of ns, lists of ints."""
     out: Dict[Word, complex] = {}
-    for _ in range(terms):
-        w = _random_word(rng, k, d, level)
-        coeff = complex(rng.normal(), rng.normal())
+    for (p, q), n, coeff in zip(pq, ns, coeffs):
+        w = Word(tuple(p), tuple(n), tuple(q), level)
         out[w] = out.get(w, 0j) + coeff
     return AlgebraElement(level, out)
 
@@ -227,9 +221,9 @@ def _check_transform_oracle(scenario, thread, cfg, rng) -> List[StateReport]:
     gaps = []
     for d, k in _C01_DIMS:
         params = _random_block(rng, d, k)
-        mu = _random_atomic(rng, d)
-        nu = nu_from_mu(mu, params)
-        gaps.extend(abs(nu.moment(n) - laplace_quadrature(mu, params, n)) for n in index_box(d, 3))
+        mu, box = _random_atomic(rng, d), index_box(d, 3)
+        closed = nu_from_mu(mu, params).moments(box)
+        gaps.extend(abs(c - laplace_quadrature(mu, params, n)) for c, n in zip(closed, box))
     elapsed = time.perf_counter() - start
     # the row carries only the verdict, not the measured time: reports must be
     # byte-identical across runs of the same seed and config
@@ -290,24 +284,19 @@ def _check_mass_identities(scenario, thread, cfg, rng) -> List[StateReport]:
 
 def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
     gaps = []
-    trials = 6
+    trials, radius = 6, cfg.moment_box
     for _ in range(trials):
         d, _, params, mu, nu = _random_setup(rng)
         mu_back = mu_from_nu(nu, params, check=False)
-        nu_back = nu_from_mu(mu_from_nu(nu, params, check=False), params, check=False)
+        nu_back = nu_from_mu(mu_back, params, check=False)
         kappa = _random_atomic(rng, d, mass=1.0 / params.partition_value())
         nu2 = nu_from_kappa(kappa, params)
         kappa_back = kappa_from_nu(nu2, params)
-        nu2_back = nu_from_kappa(kappa_from_nu(nu2, params), params)
-        samples = min(20, (2 * cfg.moment_box + 1) ** d)
-        for _ in range(samples):
-            n = rng.integers(-cfg.moment_box, cfg.moment_box + 1, size=d)
-            gaps += (
-                abs(mu_back.moment(n) - mu.moment(n)),
-                abs(nu_back.moment(n) - nu.moment(n)),
-                abs(kappa_back.moment(n) - kappa.moment(n)),
-                abs(nu2_back.moment(n) - nu2.moment(n)),
-            )
+        nu2_back = nu_from_kappa(kappa_back, params)
+        samples = min(20, (2 * radius + 1) ** d)
+        N = np.array([rng.integers(-radius, radius + 1, size=d) for _ in range(samples)])
+        for back, there in ((mu_back, mu), (nu_back, nu), (kappa_back, kappa), (nu2_back, nu2)):
+            gaps.extend(np.abs(back.moments(N) - there.moments(N)))
     rows = [
         _residual_row(
             "C03", 0,
@@ -321,12 +310,12 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
         mu_m = thread.measure(m)
         nu = nu_from_mu(mu_m, params, check=False)
         back = mu_from_nu(nu, params, check=False)
-        box = index_box(scenario.dims.d, min(cfg.moment_box, 3))
+        box = index_box(scenario.dims.d, min(radius, 3))
         rows.append(
             _residual_row(
                 "C03", m,
                 "thread level round trip mu -> nu -> mu",
-                _worst(abs(back.moment(n) - mu_m.moment(n)) for n in box), ENGINE_TOL,
+                _worst(np.abs(back.moments(box) - mu_m.moments(box))), ENGINE_TOL,
             )
         )
     return rows
@@ -403,17 +392,19 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
 
 def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
     rows = []
-    k, d = scenario.dims.k, scenario.dims.d
-    for m in range(1, scenario.depth + 1):
+    k, d, depth = scenario.dims.k, scenario.dims.d, scenario.depth
+    # one generator call per kind of draw: every level's word pairs (a, b) and a
+    # random atomic measure, whose state's moments never vanish (so not 0 = 0)
+    points, weights = rng.random((depth, 3, d)), rng.dirichlet(np.ones(3), size=depth)
+    pq = rng.integers(0, 4, size=(depth, cfg.samples, 2, 1, 2, k))
+    ns = rng.integers(-3, 4, size=(depth, cfg.samples, 2, 1, d))
+    for m in range(1, depth + 1):
         params = BlockParams.at_level(scenario, m)
         nu_m = normalized_nu(thread, m)
-        # a second state from a random atomic measure; its moments never
-        # vanish, so the identity is exercised away from 0 = 0
-        nu_rand = _normalized_average(_random_atomic(rng, d), params)
+        nu_rand = _normalized_average(AtomicMeasure(points[m - 1], weights[m - 1]), params)
         residuals = []
-        for i in range(cfg.samples):
-            a = AlgebraElement.from_word(_random_word(rng, k, d, m))
-            b = AlgebraElement.from_word(_random_word(rng, k, d, m))
+        for i, (pairs, n_pairs) in enumerate(zip(pq[m - 1].tolist(), ns[m - 1].tolist())):
+            a, b = (_element(pairs[j], n_pairs[j], (1.0,), m) for j in (0, 1))
             state = nu_m if i % 2 == 0 else nu_rand
             residuals.append(kms_residual(state, params, a, b))
         rows.append(
@@ -448,7 +439,9 @@ def _check_fock_agreement(scenario, thread, cfg, rng) -> List[StateReport]:
         tails.append(bound)
         gaps = []
         for j in range(words_per):
-            a = AlgebraElement.from_word(_random_word(rng, k, d, 1, diagonal=(j % 2 == 0)))
+            p = _ints(rng, 0, 4, k)
+            q = p if j % 2 == 0 else _ints(rng, 0, 4, k)
+            a = AlgebraElement.from_word(Word(p=p, n=_ints(rng, -3, 4, d), q=q, level=1))
             gaps.append(abs(state_eval(nu, params, a) - fock_state_eval(kappa, params, a, trunc)))
         rows.append(
             _residual_row(
@@ -476,10 +469,11 @@ def _check_level_consistency(scenario, thread, cfg, rng) -> List[StateReport]:
     rows = []
     k, d = scenario.dims.k, scenario.dims.d
     for m in range(1, scenario.depth):
-        words = [
-            _random_word(rng, k, d, m, diagonal=bool(rng.integers(0, 2)))
-            for _ in range(cfg.samples)
-        ]
+        words = []
+        for _ in range(cfg.samples):
+            diagonal, p = rng.integers(0, 2), _ints(rng, 0, 4, k)
+            q = p if diagonal else _ints(rng, 0, 4, k)
+            words.append(Word(p=p, n=_ints(rng, -3, 4, d), q=q, level=m))
         rows.append(
             _residual_row(
                 "C07", m,
@@ -603,15 +597,24 @@ def _check_limit_convergence(scenario, thread, cfg, rng) -> List[StateReport]:
 
 
 def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
-    k, d = scenario.dims.k, scenario.dims.d
+    k, d, count = scenario.dims.k, scenario.dims.d, cfg.fuzz_count
+    # one generator call per kind of draw.  An instance's exponent rows 0-5 are
+    # the terms of a, b and c; row 6 is the rotation relation's p (q unused), n.
+    pq, ns = rng.integers(0, 4, size=(count, 7, 2, k)), rng.integers(-3, 4, size=(count, 7, d))
+    coeffs = rng.normal(size=(count, 6, 2)).view(complex)[..., 0]
+    ts = rng.uniform(-2.0, 2.0, size=(count, 2))
+    # the dense check: a measure kappa and 20 pairs of one-term elements
+    kappa = _random_atomic(rng, d)
+    dense_pq = rng.integers(0, 2, size=(20, 2, 1, 2, k)).tolist()
+    dense_ns = rng.integers(-2, 3, size=(20, 2, 1, d)).tolist()
+    dense_coeffs = rng.normal(size=(20, 2, 1, 2)).view(complex)[..., 0].tolist()
     gaps = []
-    for i in range(cfg.fuzz_count):
+    for i in range(count):
         m = 1 + (i % scenario.depth)
         lvl = scenario.level(m)
         theta, r = lvl.theta, lvl.r
-        a = _random_element(rng, k, d, m)
-        b = _random_element(rng, k, d, m)
-        c = _random_element(rng, k, d, m)
+        v, u, z = pq[i].tolist(), ns[i].tolist(), coeffs[i].tolist()
+        a, b, c = (_element(v[j:j + 2], u[j:j + 2], z[j:j + 2], m) for j in (0, 2, 4))
         # the engine is deterministic, so ab and alpha_t1(a) are formed once
         ab = multiply(a, b, theta)
         left = multiply(ab, c, theta)
@@ -620,8 +623,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         inv_l = adjoint(ab)
         inv_r = multiply(adjoint(b), adjoint(a), theta)
         gaps.append(inv_l.sup_coefficient_distance(inv_r))
-        t1 = float(rng.uniform(-2.0, 2.0))
-        t2 = float(rng.uniform(-2.0, 2.0))
+        t1, t2 = ts[i].tolist()
         a_t1 = apply_dynamics(a, t1, r)
         one = apply_dynamics(a_t1, t2, r)
         two = apply_dynamics(a, t1 + t2, r)
@@ -630,8 +632,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         hom_r = multiply(a_t1, apply_dynamics(b, t1, r), theta)
         gaps.append(hom_l.sup_coefficient_distance(hom_r))
         # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n
-        p = _ints(rng, 0, 4, k)
-        n = _ints(rng, -3, 4, d)
+        p, n = tuple(v[6][0]), tuple(u[6])
         u_word = AlgebraElement.from_word(Word(p=(0,) * k, n=n, q=(0,) * k, level=m))
         v_word = AlgebraElement.from_word(Word(p=p, n=(0,) * d, q=(0,) * k, level=m))
         tn = np.mod(theta, 1.0) @ np.asarray(n, dtype=float)
@@ -650,7 +651,6 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
 
     box = 3
     params = BlockParams.at_level(scenario, 1)
-    kappa = _random_atomic(rng, d, atoms=3)
     n_atoms = len(kappa.weights)
     occupancy = list(np.ndindex((box + 1,) * k))
     safe_cols = [
@@ -660,13 +660,8 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         for a_idx in range(n_atoms)
     ]
     dense = []
-    for _ in range(20):
-        wa, wb = (
-            Word(p=_ints(rng, 0, 2, k), n=_ints(rng, -2, 3, d), q=_ints(rng, 0, 2, k), level=1)
-            for _ in range(2)
-        )
-        a = AlgebraElement.from_word(wa, complex(rng.normal(), rng.normal()))
-        b = AlgebraElement.from_word(wb, complex(rng.normal(), rng.normal()))
+    for v, u, z in zip(dense_pq, dense_ns, dense_coeffs):
+        a, b = (_element(v[j], u[j], z[j], 1) for j in (0, 1))
         mat_a = fock_element_matrix(a, params, kappa, box)
         mat_b = fock_element_matrix(b, params, kappa, box)
         mat_ab = fock_element_matrix(multiply(a, b, params.theta), params, kappa, box)

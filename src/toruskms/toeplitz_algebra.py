@@ -15,11 +15,13 @@ single word with an explicit phase:
 with j = q v p'.  Elements are dictionaries word -> coefficient kept in this
 normal form; coefficients with modulus below 1e-15 are pruned.  Words hold
 tuples of Python ints and cache their hash, and the engine works on them in
-plain Python: theta is reduced mod 1 once per call, theta.n is summed once per
-word, and each pair's phase is a float sum of integer-times-float products
-under one cmath.exp.  These round every product where a BLAS dot may fuse
-multiply-adds (and Python 3.12 and later compensate the sum), so at k >= 2 a
-phase may differ from numpy's in the last bit; at k = 1 each dot is one product.
+plain Python: the words it builds skip the public constructor's checks,
+theta is reduced mod 1 by float % once per call (the bits of np.mod), theta.n
+is summed once per word, and each pair's phase is a float sum of
+integer-times-float products under one cmath.exp.  These round every product
+where a BLAS dot may fuse multiply-adds (and Python 3.12 and later compensate
+the sum), so at k >= 2 a phase may differ from numpy's in the last bit; at
+k = 1 each dot is one product.
 
 The gauge dynamics acts diagonally, alpha_t(V_p U_n V*_q) =
 e^(i t (p-q).r) V_p U_n V*_q, for real or complex t.  Given a measure nu on
@@ -92,7 +94,6 @@ class Word:
     level: int
 
     def __init__(self, p, n, q, level):
-        # the engine builds words from tuples of Python ints: those need no conversion
         fast = type(level) is int and type(p) is type(n) is type(q) is tuple
         if not (fast and {*map(type, p + n + q)} <= {int}):
             p, n, q = _int_tuple(p, "p"), _int_tuple(n, "n"), _int_tuple(q, "q")
@@ -103,8 +104,15 @@ class Word:
             raise ValueError("p and q must have the same length")
         if level < 1:
             raise ValueError("levels are 1-based")
-        # the instance is frozen: its fields and cached hash are written once, here
+        # the instance is frozen: its fields and cached hash are written once
         self.__dict__.update(p=p, n=n, q=q, level=level, _hash=hash((p, n, q, level)))
+
+    @classmethod
+    def _built(cls, p, n, q, level):
+        """A word whose fields come from checked words: tuples of ints, p and q >= 0; no checks."""
+        word = object.__new__(cls)
+        word.__dict__.update(p=p, n=n, q=q, level=level, _hash=hash((p, n, q, level)))
+        return word
 
     def __hash__(self):
         return self._hash
@@ -199,10 +207,10 @@ def _theta_dots(theta, words):
     # every phase exponent pairs theta with integer vectors on both sides, so
     # shifting entries by integers never changes a coefficient; reducing mod 1
     # keeps the exponents O(1) and the rounding error off the phases
-    theta = np.mod(np.atleast_2d(np.asarray(theta, dtype=float)), 1.0)
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.ndim != 2:
         raise ValueError(f"theta must be a k x d matrix, got shape {theta.shape}")
-    (k, d), rows = theta.shape, theta.tolist()
+    (k, d), rows = theta.shape, [[x % 1.0 for x in row] for row in theta.tolist()]
     out = []
     for w in words:
         if len(w.p) != k or len(w.n) != d:
@@ -230,7 +238,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
             j = tuple(map(max, q1, p2))
             up, down = tuple(map(sub, j, q1)), tuple(map(sub, j, p2))
             p, n = tuple(map(add, p1, up)), tuple(map(add, n1, n2))
-            word = Word(p, n, tuple(map(add, q2, down)), a.level)
+            word = Word._built(p, n, tuple(map(add, q2, down)), a.level)
             phase = sum(map(mul, up, tn1)) + sum(map(mul, down, tn2))
             out[word] = out.get(word, 0j) + c1 * c2 * cmath.exp(TWO_PI_I * phase)
     return AlgebraElement(a.level, out)
@@ -239,7 +247,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: (V_p U_n V*_q)* = V_q U_(-n) V*_p with conjugated coefficients."""
     out = {
-        Word(p=w.q, n=tuple(map(neg, w.n)), q=w.p, level=w.level): c.conjugate()
+        Word._built(w.q, tuple(map(neg, w.n)), w.p, w.level): c.conjugate()
         for w, c in a.terms.items()
     }
     return AlgebraElement(a.level, out)

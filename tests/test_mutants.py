@@ -17,8 +17,18 @@ planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 | +2 pi i in ``_laplace_factors``                 | C01, C04, C10  |
 | conjugated phase in ``defect_measure_cts``      | C04            |
 | normalization constant c_m dropped or doubled   | C12            |
+| c_m taken from the next level                   | C07, C12       |
+| ``apply_dynamics(a, -t)``                       | C05            |
+| ``join`` as a min in ``multiply``               | stops C11      |
 
-One mutant is equivalent and has no test: dropping the mod 1 in
+``apply_dynamics(a, -t)`` runs C05 at the default 100 word pairs: C05 draws
+a and b independently, so phi(ab) = 0 for most planar pairs, and at 10 pairs
+per level the mutant passes the planar tower.  ``multiply`` with the join as
+a min builds words with negative exponents; engine words skip the public
+constructor's checks, so the dense operator check of C11 stops on an
+IndexError (``report`` exits 1), or a row fails.
+
+One mutant is equivalent and has no test: dropping the ``% 1.0`` in
 ``toeplitz_algebra._theta_dots``.  Every phase exponent there pairs theta with
 integer vectors on both sides, so shifting theta by integers changes each
 phase by a multiple of 2 pi.  The reduction only keeps the exponents O(1), so
@@ -28,6 +38,7 @@ both towers at the configuration below.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -54,9 +65,10 @@ def _load(tower):
     return scenario, tk.thread_from_json(json.loads((ROOT / thread_file).read_text()), scenario)
 
 
-def _patch(monkeypatch, module, name, mutant):
-    """Bind mutant to name in every toruskms module that imported the original."""
-    original = getattr(module, name)
+def _patch(monkeypatch, owner, name, mutant):
+    """Bind mutant to name on owner and in every toruskms module that imported the original."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, mutant)
     for key, mod in list(sys.modules.items()):
         if key.split(".")[0] == "toruskms" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, mutant)
@@ -93,6 +105,30 @@ def _normalized_doubled(mu, params):
     return tk.MultipliedMeasure(_NORMALIZED(mu, params), lambda N: 2.0, tag="mutant")
 
 
+def _state_with_next_levels_c(thread, m):
+    # nu_m scaled by c of level m + 1 (of level 1 at the top) instead of c_m
+    params = tk.BlockParams.at_level(thread.scenario, m)
+    other = tk.BlockParams.at_level(thread.scenario, m % thread.scenario.depth + 1)
+    nu = tk.nu_from_mu(thread.measure(m), params, check=False)
+    return params, tk.MultipliedMeasure(nu, lambda N: other.mass_factor(), tag="mutant")
+
+
+_APPLY_DYNAMICS = toeplitz_algebra.apply_dynamics
+
+
+def _dynamics_reversed(a, t, r):
+    return _APPLY_DYNAMICS(a, -t, r)
+
+
+def _multiply_min_join():
+    """``multiply`` recompiled from its source with the join q v p' taken as a min."""
+    source = inspect.getsource(toeplitz_algebra.multiply)
+    assert source.count("map(max, q1, p2)") == 1
+    namespace = dict(vars(toeplitz_algebra))
+    exec(source.replace("map(max, q1, p2)", "map(min, q1, p2)"), namespace)
+    return namespace["multiply"]
+
+
 MUTANTS = {
     "state_eval_unweighted": (
         toeplitz_algebra, "state_eval", _state_without_weight, ("C06",)),
@@ -102,6 +138,8 @@ MUTANTS = {
         subinvariance, "defect_measure_cts", _defect_cts_conjugated, ("C04",)),
     "c_m_dropped": (solenoid_limit, "_normalized_average", _normalized_without_c, ("C12",)),
     "c_m_doubled": (solenoid_limit, "_normalized_average", _normalized_doubled, ("C12",)),
+    "c_m_of_next_level": (
+        tk.SolenoidMeasureThread, "_state", _state_with_next_levels_c, ("C07", "C12")),
 }
 
 
@@ -140,3 +178,22 @@ def test_conjugated_defect_phase_fails_c04_by_a_margin(tower, monkeypatch):
     _patch(monkeypatch, subinvariance, "defect_measure_cts", _defect_cts_conjugated)
     rows = tk.run_checks(("C04",), scenario, thread, CFG)
     assert max(r.residual for r in rows) >= 1.35e-2
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_reversed_dynamics_fails_c05_at_the_default_size(tower, monkeypatch):
+    scenario, thread = _load(tower)
+    _patch(monkeypatch, toeplitz_algebra, "apply_dynamics", _dynamics_reversed)
+    rows = tk.run_checks(("C05",), scenario, thread, tk.SuiteConfig())
+    assert any(r.status == "fail" for r in rows)
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_min_join_fails_a_row_or_stops_the_report(tower, monkeypatch):
+    scenario, thread = _load(tower)
+    _patch(monkeypatch, toeplitz_algebra, "multiply", _multiply_min_join())
+    try:
+        rows = tk.run_checks(tk.SUITES["all"], scenario, thread, CFG)
+    except IndexError:  # uncaught by `report`, whose process then exits 1
+        return
+    assert not tk.overall_pass(rows)

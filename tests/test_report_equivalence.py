@@ -51,6 +51,17 @@ re-frozen when ``psi_eval`` became ``state_eval`` of ``normalized_nu``: that
 route rounds e * (P * M) where the old one rounded (e * P) * M, for the
 weight e, the Laplace factor P and the moment M, and both rows are rounding
 noise around a true 0.
+
+Later, C05 and C11 came to draw their words with one generator call per kind
+of draw for all instances, and C03 to take its closed-form moments from one
+``moments(N)`` call per measure.  So these rows were re-frozen, and no other:
+every C05 and C11 row and the C03 level 0 row, in each ``*_rows_parent.json``
+file and in the CSV and text bytes, and the C03 level 3 row of
+``report_cubic_rows_parent.json``.  The C05 and C11 rows moved because their
+draws did.  The C03 rows are round-trip defects near 3e-16 around a true 0.
+Their draws did not change, but a batch rounds its atomic moments and
+multipliers through other BLAS kernels than a single index does, so they
+moved in the last bits.
 """
 
 from __future__ import annotations

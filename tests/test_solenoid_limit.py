@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ def test_sigma_map_intertwines_laplace_averages(line_scenario, line_point_thread
         sig = tk.sigma_map(nu_hi, line_scenario, m)
         for n in range(-4, 5):
             assert abs(sig.moment([n]) - nu_lo.moment([n])) < 1e-13
+
+
+def test_a_used_thread_pickles_with_its_psi_values(planar_scenario):
+    # psi_eval caches each level's normalized measure on the thread; its
+    # multipliers are module-level functions bound by functools.partial
+    thread = tk.build_thread(planar_scenario, kind="point", y1=np.array([0.3, 0.55]))
+    words = [tk.Word(p=(1, 0), n=(2, -1), q=(1, 0), level=m) for m in range(1, 4)]
+    words.append(tk.Word(p=(0, 2), n=(-1, 3), q=(0, 2), level=2))
+    values = [tk.psi_eval(thread, w) for w in words]
+    restored = pickle.loads(pickle.dumps(thread))
+    assert [tk.psi_eval(restored, w) for w in words] == values
+    assert all(v != 0 for v in values)
+    sigma = tk.sigma_map(tk.normalized_nu(thread, 2), planar_scenario, 1)
+    assert pickle.loads(pickle.dumps(sigma)).moment([1, 2]) == sigma.moment([1, 2])
 
 
 def test_normalized_nu_is_probability(line_point_thread):

@@ -48,6 +48,38 @@ def test_subset_rows_match_full_run(line_scenario, line_uniform_thread):
         assert alone == [r for r in full if r.check_id == cid], cid
 
 
+class _CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("check_id", ["C05", "C11"])
+def test_batched_checks_draw_with_as_many_generator_calls_at_any_size(
+    check_id, planar_scenario, planar_point_thread
+):
+    # C05 sizes by samples and C11 by fuzz_count; each draws per kind, not per word
+    check = {cid: fn for cid, _title, fn in tk.CHECKS}[check_id]
+    calls = []
+    for samples, fuzz_count in ((10, 40), (100, 400)):
+        rng = _CountingGenerator(0)
+        cfg = tk.SuiteConfig(samples=samples, fuzz_count=fuzz_count)
+        check(planar_scenario, planar_point_thread, cfg, rng)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1]
+
+
 def test_seed_changes_results(line_scenario, line_uniform_thread):
     one = tk.run_checks(("C01",), line_scenario, line_uniform_thread, _small_cfg(seed=1))
     two = tk.run_checks(("C01",), line_scenario, line_uniform_thread, _small_cfg(seed=2))

@@ -120,6 +120,27 @@ def test_associativity_property(data, theta_seed):
     assert left.sup_coefficient_distance(right) < 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_engine_built_words_equal_public_words(data):
+    # multiply and adjoint build words without the public constructor's checks
+    k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    exponents = lambda low, size: st.tuples(*[st.integers(low, 3)] * size)
+    word = st.builds(tk.Word, exponents(0, k), exponents(-3, d), exponents(0, k), st.just(2))
+    elements = []
+    for _ in range(2):
+        words = data.draw(st.lists(word, min_size=1, max_size=3))
+        elements.append(tk.AlgebraElement(2, {w: 1.0 + j for j, w in enumerate(words)}))
+    a, b = elements
+    theta = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(0, 2, (k, d))
+    built = [*tk.multiply(a, b, theta).terms, *tk.adjoint(a).terms, *tk.adjoint(b).terms]
+    assert built
+    for w in built:
+        public = tk.Word(w.p, w.n, w.q, w.level)
+        assert w == public and hash(w) == hash(public)
+        assert all(type(v) is int for v in w.p + w.n + w.q + (w.level,))
+
+
 def test_phase_invariant_under_integer_theta_shift():
     # engine coefficients only see theta mod 1, because integer vectors
     # multiply it on both sides of every exponent

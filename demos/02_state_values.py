@@ -7,8 +7,9 @@ routes to the same numbers:
   closed form   nu_mu has moments mu_hat(n) * prod_j 1/(beta r_j - 2 pi i t_j)
                 with t = theta n, and the state is delta_{p,q} e^{-beta p.r}
                 times that moment
-  oracle        adaptive Gauss-Legendre quadrature of the Laplace average
-                integral, no transform formulas involved
+  oracle        fixed composite Gauss-Legendre quadrature of the Laplace
+                average integral, its panel count set from the block and the
+                index; no transform formulas involved
 
 The demo prints both on a grid of moments and on a handful of words.
 """

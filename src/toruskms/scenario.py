@@ -17,7 +17,6 @@ violation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -235,8 +234,8 @@ def validate_scenario(scenario: Scenario) -> List[str]:
     return report
 
 
-def scenario_from_json(obj) -> Scenario:
-    """Load a scenario from its JSON description.
+def scenario_from_json(obj: dict) -> Scenario:
+    """Load a scenario from its parsed JSON description.
 
     Schema: {"d": int, "k": int, "beta": float, "mode": "derive"|"explicit",
     "theta1": [[float]], "r1": [float], "D": [[int diagonal]], "E": [[[int]]],
@@ -245,10 +244,6 @@ def scenario_from_json(obj) -> Scenario:
     In explicit mode "levels" lists {"theta": [[float]], "r": [float]} per
     level, with D/E still taken from the top-level lists.
     """
-    if hasattr(obj, "read"):
-        obj = json.load(obj)
-    elif isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError("scenario JSON must be an object")
     try:

@@ -27,7 +27,6 @@ so embedding a word as (D_m p, E_m n, D_m q) does not change its psi value;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -56,10 +55,8 @@ __all__ = [
     "SolenoidMeasureThread",
     "level_constants",
     "embed_word",
-    "embed_element",
     "build_thread",
     "thread_from_json",
-    "sigma_map",
     "psi_eval",
     "consistency_residual",
     "preimage_points",
@@ -144,12 +141,6 @@ def embed_word(w: Word, scenario: Scenario) -> Word:
     return Word(p=p, n=n, q=q, level=m + 1)
 
 
-def embed_element(a: AlgebraElement, scenario: Scenario) -> AlgebraElement:
-    """Linear extension of embed_word; a unital *-homomorphism onto its image."""
-    terms = {embed_word(w, scenario): c for w, c in a.terms.items()}
-    return AlgebraElement(a.level + 1, terms)
-
-
 def _canonical_point_lift(y1, scenario: Scenario) -> List[np.ndarray]:
     """Point coordinates per level from y_1 via y_(m+1) = (E_m^T)^(-1) y_m mod 1."""
     points = [reduce_mod_1(np.atleast_1d(np.asarray(y1, dtype=float)))]
@@ -222,12 +213,8 @@ def build_thread(
     return SolenoidMeasureThread(scenario=scenario, measures=tuple(measures))
 
 
-def thread_from_json(obj, scenario: Scenario) -> SolenoidMeasureThread:
-    """Load a thread from {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}."""
-    if hasattr(obj, "read"):
-        obj = json.load(obj)
-    elif isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+def thread_from_json(obj: dict, scenario: Scenario) -> SolenoidMeasureThread:
+    """Load a thread from parsed {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('thread JSON must be an object with a "kind" field')
     kind = obj["kind"]
@@ -268,21 +255,6 @@ def validate_thread(thread: SolenoidMeasureThread) -> List[str]:
                 f"{COMPAT_RADIUS} (> {COMPAT_TOL})"
             )
     return report
-
-
-def sigma_map(nu_next: TorusMeasure, scenario: Scenario, m: int) -> TorusMeasure:
-    """Normalized pushforward sigma_m(nu) = (det D_m)^(-1) * (E_m^T pushforward of nu).
-
-    Intertwines the Laplace averages of consecutive thread levels: for a
-    compatible thread, sigma_m applied to nu_from_mu(mu_(m+1)) at the level
-    m+1 block equals nu_from_mu(mu_m) at the level m block.
-    """
-    if not 1 <= m < scenario.depth:
-        raise TopLevel(f"sigma map needs 1 <= m < depth, got m={m}")
-    lvl = scenario.level(m)
-    det_d = float(lvl.det_D())
-    pushed = pushforward_dual(nu_next, lvl.E)
-    return MultipliedMeasure(pushed, partial(_constant, 1.0 / det_d), tag=f"sigma_{m}")
 
 
 def _constant(c: float, N) -> float:

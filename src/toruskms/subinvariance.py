@@ -309,12 +309,10 @@ def numeric_limit_mu(
     if np.any(schedule <= 0) or np.any(np.diff(schedule) >= 0):
         raise ValueError("s_schedule must be positive and strictly decreasing")
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    base_moment = nu.moment(n)
-    t = params.theta_dot(n)
-    values = np.empty(len(schedule), dtype=complex)
-    for i, s in enumerate(schedule):
-        factors = 1.0 - np.exp((-params.beta * params.r + TWO_PI_I * t) * s)
-        values[i] = complex(np.prod(factors / s)) * base_moment
+    values = np.array(
+        [defect_measure_cts(nu, np.full(params.k, s), params).moment(n) / s**params.k
+         for s in schedule]
+    )
     if not np.any(n):
         bound = params.mass_factor() * abs(nu.total_mass())
         worst = float(np.max(np.abs(values)))

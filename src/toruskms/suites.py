@@ -398,6 +398,11 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
     points, weights = rng.random((depth, 3, d)), rng.dirichlet(np.ones(3), size=depth)
     pq = rng.integers(0, 4, size=(depth, cfg.samples, 2, 1, 2, k))
     ns = rng.integers(-3, 4, size=(depth, cfg.samples, 2, 1, d))
+    # raise b's exponents so that q_b - p_b = p_a - q_a: ab has gauge degree 0,
+    # so phi(ab) need not vanish and the pair tests the KMS condition
+    p_a, q_a, p_b = pq[:, :, 0, 0, 0], pq[:, :, 0, 0, 1], pq[:, :, 1, 0, 0]
+    p_b = p_b + np.maximum(0, q_a - p_a - p_b)
+    pq[:, :, 1, 0, 0], pq[:, :, 1, 0, 1] = p_b, p_b + p_a - q_a
     for m in range(1, depth + 1):
         params = BlockParams.at_level(scenario, m)
         nu_m = normalized_nu(thread, m)
@@ -411,7 +416,7 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
             _residual_row(
                 "C05", m,
                 f"max KMS residual |phi(ab) - phi(b a_twisted)| over {cfg.samples} "
-                "word pairs (thread state and a random atomic state)",
+                "degree-matched word pairs (thread state and a random atomic state)",
                 _worst(residuals), ENGINE_TOL,
             )
         )

@@ -6,12 +6,9 @@ Every computation in this package touches a measure only through its moments
 
 so measures are moment oracles rather than densities or samples, evaluated in
 batches of indices (``TorusMeasure.moments``).  That choice keeps the two
-structural operations exact at every index: translating by y multiplies moment
-n by exp(2*pi*i * y.n), and pushing forward under the transpose of an integer
-matrix E re-indexes moments as n -> E n.  A fixed Fourier table cannot support
-the re-indexing (E n eventually leaves any finite box), which is why atomic
-measures are the preferred concrete input format and table-backed measures
-raise ``OutOfBox`` when queried too far.
+structural operations exact at every index: a closed-form transform multiplies
+moment n by an explicit function of n, and pushing forward under the transpose
+of an integer matrix E re-indexes moments as n -> E n.
 
 Positivity of a (possibly signed) real moment oracle is certified by one
 necessary condition: the multilevel Toeplitz moment matrix
@@ -29,30 +26,24 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "OutOfBox",
     "SingularMatrix",
     "TorusMeasure",
     "AtomicMeasure",
-    "FourierTableMeasure",
     "MultipliedMeasure",
     "MappedIndexMeasure",
     "UniformMeasure",
     "PositivityVerdict",
-    "moment",
     "moment_table",
-    "translate",
     "pushforward_dual",
     "positivity_test",
     "reduce_mod_1",
     "atomic_from_json",
-    "atomic_to_json",
     "write_moment_csv",
 ]
 
@@ -61,10 +52,6 @@ _DEFAULT_GRID = {1: 256, 2: 64, 3: 32}
 
 # positivity_test refutes positivity at a moment-matrix eigenvalue below -POSITIVITY_TOL.
 POSITIVITY_TOL = 1e-8
-
-
-class OutOfBox(Exception):
-    """A moment was requested outside a Fourier table's stored box."""
 
 
 class SingularMatrix(Exception):
@@ -166,38 +153,6 @@ class UniformMeasure(TorusMeasure):
     moment = TorusMeasure.moment
 
 
-class FourierTableMeasure(TorusMeasure):
-    """Moments stored on the box |n_i| <= radius; queries beyond raise OutOfBox.
-
-    The table must be Hermitian-symmetric, moment(-n) = conj(moment(n)), which
-    is exactly the condition that the underlying measure is real.
-    """
-
-    def __init__(self, table, radius: int):
-        radius = int(radius)
-        table = np.asarray(table, dtype=complex)
-        if radius < 0 or table.shape != (2 * radius + 1,) * table.ndim:
-            raise ValueError("table must have shape (2*radius+1,)^d")
-        sym_defect = np.max(np.abs(table - np.conj(table[(slice(None, None, -1),) * table.ndim])))
-        if not sym_defect <= 1e-12 * max(1.0, float(np.max(np.abs(table)))):
-            raise ValueError(f"table is not Hermitian-symmetric (defect {sym_defect:.3e})")
-        self.table = table
-        self.table.setflags(write=False)
-        self.radius = radius
-        self.d = table.ndim
-
-    @classmethod
-    def from_measure(cls, mu: TorusMeasure, radius: int) -> "FourierTableMeasure":
-        return cls(moment_table(mu, radius), radius)
-
-    def moments(self, N) -> np.ndarray:
-        outside = np.any(np.abs(N) > self.radius, axis=1)
-        if np.any(outside):
-            n = N[np.argmax(outside)]
-            raise OutOfBox(f"index {n.tolist()} outside stored box radius {self.radius}")
-        return self.table[tuple((N + self.radius).T)]
-
-
 class MultipliedMeasure(TorusMeasure):
     """A base measure composed with a closed-form moment multiplier.
 
@@ -242,11 +197,6 @@ class MappedIndexMeasure(TorusMeasure):
     moment = TorusMeasure.moment
 
 
-def moment(mu: TorusMeasure, n) -> complex:
-    """Fourier moment of mu at the integer index n."""
-    return mu.moment(n)
-
-
 def moment_table(mu: TorusMeasure, radius: int) -> np.ndarray:
     """Dense moment table on the box |n_i| <= radius, shape (2*radius+1,)^d."""
     radius = int(radius)
@@ -255,30 +205,12 @@ def moment_table(mu: TorusMeasure, radius: int) -> np.ndarray:
     return mu.moments(index_box(mu.d, radius)).reshape((2 * radius + 1,) * mu.d)
 
 
-def translate(mu: TorusMeasure, y) -> TorusMeasure:
-    """Pushforward of mu under x -> x + y on the torus.
-
-    For atomic measures the atoms themselves are shifted mod 1; any other
-    representation is wrapped with the exact moment multiplier
-    exp(2*pi*i * y.n).  The two routes agree identically on moments.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (mu.d,):
-        raise ValueError(f"translation vector must have length {mu.d}")
-    if isinstance(mu, AtomicMeasure):
-        return AtomicMeasure(mu.points + y, mu.weights)
-    y = y.copy()
-    return MultipliedMeasure(
-        mu, lambda N: np.exp(2j * np.pi * (N @ y)), tag=f"translate({y.tolist()})"
-    )
-
-
 def pushforward_dual(mu: TorusMeasure, E) -> TorusMeasure:
     """Pushforward of mu under the dual endomorphism x -> E^T x mod 1.
 
     On moments this is the exact re-indexing moment(n) -> moment(mu, E n).
-    Atomic measures map their atoms directly; other representations return a
-    lazy index-mapped oracle (which may raise OutOfBox on table-backed bases).
+    Atomic measures map their atoms directly, the uniform measure is invariant,
+    and any other representation returns a lazy index-mapped oracle.
     """
     E = np.asarray(E)
     Ei = np.rint(E).astype(np.int64)
@@ -366,15 +298,8 @@ def positivity_test(lam: TorusMeasure, *, moment_radius: int = 5) -> PositivityV
     )
 
 
-def atomic_from_json(obj) -> AtomicMeasure:
-    """Load an atomic measure from {"atoms": [{"x": [...], "w": ...}, ...]}.
-
-    Accepts a dict, a JSON string, or an open file object.
-    """
-    if hasattr(obj, "read"):
-        obj = json.load(obj)
-    elif isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+def atomic_from_json(obj: dict) -> AtomicMeasure:
+    """Load an atomic measure from the parsed {"atoms": [{"x": [...], "w": ...}, ...]}."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValueError('atomic measure JSON must be an object with an "atoms" list')
     atoms = obj["atoms"]
@@ -388,29 +313,12 @@ def atomic_from_json(obj) -> AtomicMeasure:
     return AtomicMeasure(np.asarray(points), np.asarray(weights))
 
 
-def atomic_to_json(mu: AtomicMeasure) -> dict:
-    if np.max(np.abs(mu.weights.imag)) > 1e-12:
-        raise ValueError("only real-weighted atomic measures serialize to JSON")
-    return {
-        "atoms": [
-            {"x": [float(v) for v in x], "w": float(w.real)}
-            for x, w in zip(mu.points, mu.weights)
-        ]
-    }
-
-
-def write_moment_csv(mu: TorusMeasure, radius: int, fileobj=None) -> str:
-    """Dump the moment box |n_i| <= radius as CSV rows n_1,..,n_d,Re,Im.
-
-    Returns the CSV text; also writes it to fileobj when given.
-    """
+def write_moment_csv(mu: TorusMeasure, radius: int) -> str:
+    """The moment box |n_i| <= radius as CSV text, one row n_1,..,n_d,Re,Im per index."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"n_{i + 1}" for i in range(mu.d)] + ["Re", "Im"])
     N = index_box(mu.d, radius)
     for n, value in zip(N, mu.moments(N)):
         writer.writerow([*(int(v) for v in n), f"{value.real:.17g}", f"{value.imag:.17g}"])
-    text = buf.getvalue()
-    if fileobj is not None:
-        fileobj.write(text)
-    return text
+    return buf.getvalue()

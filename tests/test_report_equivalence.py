@@ -62,6 +62,13 @@ draws did.  The C03 rows are round-trip defects near 3e-16 around a true 0.
 Their draws did not change, but a batch rounds its atomic moments and
 multipliers through other BLAS kernels than a single index does, so they
 moved in the last bits.
+
+Later still, C05 came to raise each b's exponents so that ab has gauge
+degree 0, and ``numeric_limit_mu`` came to read its values from
+``defect_measure_cts``.  So every C05 row (its quantity names the
+degree-matched pairs) and every C10 row that moved were re-frozen in each
+file here, and no other row.  The C10 rows moved in their last 10 to 13
+digits, because the defect multiplier rounds its product in another order.
 """
 
 from __future__ import annotations

@@ -164,9 +164,11 @@ def test_json_derive_mode_round_trip(tmp_path):
 def test_json_explicit_mode(planar_scenario):
     obj = tk.scenario_to_json(planar_scenario)
     assert obj["mode"] == "explicit"
-    sc = tk.scenario_from_json(json.dumps(obj))
+    sc = tk.scenario_from_json(json.loads(json.dumps(obj)))
     assert tk.validate_scenario(sc) == []
     assert sc.dims == planar_scenario.dims
+    with pytest.raises(ValueError, match="must be an object"):  # the loader takes parsed JSON
+        tk.scenario_from_json(json.dumps(obj))
 
 
 def test_json_missing_field_raises():

@@ -23,6 +23,13 @@ def test_embed_word_scales_exponents(line_scenario):
         tk.embed_word(tk.Word(p=(0,), n=(0,), q=(0,), level=4), line_scenario)
 
 
+def _embed(a, scenario):
+    """The level embedding of an element: embed_word mapped over its terms."""
+    return tk.AlgebraElement(
+        a.level + 1, {tk.embed_word(w, scenario): c for w, c in a.terms.items()}
+    )
+
+
 def test_embedding_is_multiplicative(line_scenario, planar_scenario):
     rng = np.random.default_rng(0)
     for sc in (line_scenario, planar_scenario):
@@ -48,18 +55,16 @@ def test_embedding_is_multiplicative(line_scenario, planar_scenario):
                 ),
                 complex(rng.normal(), rng.normal()),
             )
-            lifted = tk.multiply(
-                tk.embed_element(a, sc), tk.embed_element(b, sc), theta_hi
-            )
-            direct = tk.embed_element(tk.multiply(a, b, theta_lo), sc)
+            lifted = tk.multiply(_embed(a, sc), _embed(b, sc), theta_hi)
+            direct = _embed(tk.multiply(a, b, theta_lo), sc)
             assert lifted.sup_coefficient_distance(direct) < 1e-12
 
 
 def test_embedding_commutes_with_adjoint(line_scenario):
     w = tk.Word(p=(1,), n=(-2,), q=(0,), level=1)
     a = tk.AlgebraElement.from_word(w, 0.5 + 0.25j)
-    one = tk.adjoint(tk.embed_element(a, line_scenario))
-    two = tk.embed_element(tk.adjoint(a), line_scenario)
+    one = tk.adjoint(_embed(a, line_scenario))
+    two = _embed(tk.adjoint(a), line_scenario)
     assert one.sup_coefficient_distance(two) < 1e-15
 
 
@@ -190,14 +195,17 @@ def test_validate_thread_flags_non_finite_moments(line_scenario):
 
 
 def test_sigma_map_intertwines_laplace_averages(line_scenario, line_point_thread):
+    # sigma_m(nu) = (det D_m)^(-1) * (E_m^T pushforward of nu) carries the
+    # Laplace average of mu_(m+1) to that of mu_m
     for m in range(1, line_scenario.depth):
         lo = tk.BlockParams.at_level(line_scenario, m)
         hi = tk.BlockParams.at_level(line_scenario, m + 1)
+        lvl = line_scenario.level(m)
         nu_lo = tk.nu_from_mu(line_point_thread.measure(m), lo, check=False)
         nu_hi = tk.nu_from_mu(line_point_thread.measure(m + 1), hi, check=False)
-        sig = tk.sigma_map(nu_hi, line_scenario, m)
+        pushed = tk.pushforward_dual(nu_hi, lvl.E)
         for n in range(-4, 5):
-            assert abs(sig.moment([n]) - nu_lo.moment([n])) < 1e-13
+            assert abs(pushed.moment([n]) / lvl.det_D() - nu_lo.moment([n])) < 1e-13
 
 
 def test_a_used_thread_pickles_with_its_psi_values(planar_scenario):
@@ -210,8 +218,6 @@ def test_a_used_thread_pickles_with_its_psi_values(planar_scenario):
     restored = pickle.loads(pickle.dumps(thread))
     assert [tk.psi_eval(restored, w) for w in words] == values
     assert all(v != 0 for v in values)
-    sigma = tk.sigma_map(tk.normalized_nu(thread, 2), planar_scenario, 1)
-    assert pickle.loads(pickle.dumps(sigma)).moment([1, 2]) == sigma.moment([1, 2])
 
 
 def test_normalized_nu_is_probability(line_point_thread):
@@ -243,3 +249,5 @@ def test_thread_json_round_trip(line_scenario, tmp_path):
     obj2 = {"kind": "uniform"}
     t2 = tk.thread_from_json(obj2, line_scenario)
     assert t2.measure(1).moment([1]) == 0.0
+    with pytest.raises(ValueError, match="must be an object"):
+        tk.thread_from_json('{"kind": "uniform"}', line_scenario)

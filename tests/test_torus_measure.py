@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import csv
 import functools
 import io
 import json
@@ -63,43 +64,6 @@ def test_index_vector_rejects_non_integers():
         mu.moment([0.5, 0.0])
     with pytest.raises(ValueError):
         mu.moment([1])  # wrong dimension
-
-
-def test_fourier_table_round_trip():
-    rng = np.random.default_rng(3)
-    mu = random_atomic(rng, 2)
-    table = tk.FourierTableMeasure.from_measure(mu, radius=3)
-    for n in ([0, 0], [3, -3], [-1, 2]):
-        assert abs(table.moment(n) - mu.moment(n)) < 1e-14
-    with pytest.raises(tk.OutOfBox):
-        table.moment([4, 0])
-
-
-def test_fourier_table_rejects_non_hermitian():
-    bad = np.full((3,), 0.5 + 0.5j)  # bad[1] != conj(bad[-1]) pattern
-    bad[1] = 1.0 + 1.0j
-    with pytest.raises(ValueError):
-        tk.FourierTableMeasure(bad, radius=1)
-
-
-def test_translate_shifts_moments_by_phase():
-    rng = np.random.default_rng(4)
-    mu = random_atomic(rng, 2)
-    y = np.array([0.2, 0.7])
-    shifted = tk.translate(mu, y)
-    for n in ([1, 0], [2, -3]):
-        n = np.array(n)
-        expected = np.exp(2j * np.pi * (y @ n)) * mu.moment(n)
-        assert abs(shifted.moment(n) - expected) < 1e-13
-    # atomic translate stays atomic
-    assert isinstance(shifted, tk.AtomicMeasure)
-
-
-def test_translate_non_atomic_uses_multiplier():
-    mu = tk.UniformMeasure(1)
-    shifted = tk.translate(mu, [0.3])
-    assert shifted.moment([0]) == 1.0
-    assert shifted.moment([2]) == 0.0
 
 
 def test_pushforward_dual_atomic_matches_index_map():
@@ -252,10 +216,13 @@ def test_moment_table_shape_and_center():
 def test_atomic_json_round_trip():
     rng = np.random.default_rng(9)
     mu = random_atomic(rng, 2, atoms=3)
-    obj = tk.atomic_to_json(mu)
+    atoms = [{"x": x.tolist(), "w": float(w.real)} for x, w in zip(mu.points, mu.weights)]
+    obj = {"atoms": atoms}
     back = tk.atomic_from_json(json.loads(json.dumps(obj)))
     assert np.allclose(back.points, mu.points)
     assert np.allclose(back.weights, mu.weights)
+    with pytest.raises(ValueError, match="must be an object"):
+        tk.atomic_from_json(json.dumps(obj))
 
 
 def test_moment_csv_columns_and_determinism():
@@ -267,9 +234,9 @@ def test_moment_csv_columns_and_determinism():
     lines = text1.strip().splitlines()
     assert lines[0] == "n_1,n_2,Re,Im"
     assert len(lines) == 1 + 9
-    buf = io.StringIO()
-    tk.write_moment_csv(mu, radius=1, fileobj=buf)
-    assert buf.getvalue() == text1
+    rows = list(csv.reader(io.StringIO(text1)))
+    assert [int(v) for v in rows[5][:2]] == [0, 0]  # np.ndindex order puts n = 0 mid-box
+    assert abs(complex(float(rows[5][2]), float(rows[5][3])) - mu.total_mass()) < 1e-15
 
 
 def test_index_vector_rejects_non_finite():
@@ -295,21 +262,6 @@ def test_positivity_gate_rejects_nan_moments():
     poisoned = tk.MultipliedMeasure(tk.UniformMeasure(1), lambda N: np.nan, tag="nan")
     with pytest.raises(ValueError, match="Hermitian"):
         tk.positivity_test(poisoned, moment_radius=2)
-
-
-def test_fourier_table_rejects_nan_entry():
-    table = tk.moment_table(tk.UniformMeasure(1), 2)
-    table[0] = np.nan
-    with pytest.raises(ValueError, match="Hermitian"):
-        tk.FourierTableMeasure(table, 2)
-
-
-def test_fourier_table_batch_out_of_box_raises():
-    table = tk.FourierTableMeasure.from_measure(tk.UniformMeasure(2), radius=2)
-    inside = np.array([[0, 0], [2, -2], [1, 1]])
-    assert np.array_equal(table.moments(inside), [1.0, 0.0, 0.0])
-    with pytest.raises(tk.OutOfBox, match=r"\[0, 3\]"):
-        table.moments(np.array([[0, 0], [0, 3], [1, 1]]))
 
 
 def test_multiplier_must_broadcast_to_the_batch():
@@ -353,11 +305,9 @@ def _chained_measures(rng, d):
     return {
         "atomic": mu,
         "uniform": tk.UniformMeasure(d),
-        "table": tk.FourierTableMeasure.from_measure(mu, radius=3),
         "laplace chain": tk.nu_from_kappa(tk.kappa_from_nu(nu, params), params),
         "defect": tk.defect_measure_cts(nu, [0.3, 1.2], params),
         "finite defect": tk.defect_measure_finite(nu, [[1, 0], [0, 2]], params),
-        "translated": tk.translate(tk.UniformMeasure(d), rng.random(d)),
         "mapped": tk.MappedIndexMeasure(nu, E),
     }
 
@@ -367,8 +317,8 @@ def test_moment_table_equals_per_index_moments(d):
     # a batch of one row and a batch of many may round a product or a sum in
     # another order (BLAS kernels, SIMD loops), so entries agree to a few ulps
     rng = np.random.default_rng(40 + d)
+    radius = 2
     for name, mu in _chained_measures(rng, d).items():
-        radius = 3 if name == "table" else 2
         table = tk.moment_table(mu, radius)
         assert table.shape == (2 * radius + 1,) * d
         scalar = np.empty_like(table)
@@ -420,7 +370,7 @@ def _scalar_finite_defect(params, F, n):
 
 _LAYERS = (
     "nu_from_mu", "mu_from_nu", "nu_from_kappa", "kappa_from_nu",
-    "defect_cts", "defect_finite", "translate", "pushforward_dual",
+    "defect_cts", "defect_finite", "pushforward_dual",
 )
 
 
@@ -429,7 +379,7 @@ _LAYERS = (
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     d=st.integers(min_value=1, max_value=3),
     k=st.integers(min_value=1, max_value=3),
-    base_kind=st.sampled_from(("atomic", "uniform", "table")),
+    base_kind=st.sampled_from(("atomic", "uniform", "laplace")),
     layer=st.sampled_from(_LAYERS),
 )
 def test_batched_moments_match_scalar_closed_forms(seed, d, k, base_kind, layer):
@@ -437,27 +387,28 @@ def test_batched_moments_match_scalar_closed_forms(seed, d, k, base_kind, layer)
     params = random_block(rng, d, k)
     radius = 2
     atoms = random_atomic(rng, d)
+    # a non-atomic, non-uniform base, so pushforward_dual maps its indices
+    base_params = random_block(rng, d, k)
     if base_kind == "atomic":
         base = atoms
     elif base_kind == "uniform":
         base = tk.UniformMeasure(d)
     else:
-        # wide enough that E n stays inside the table for |n_i| <= 1
-        base = tk.FourierTableMeasure.from_measure(atoms, radius=3 * d)
-        radius = 1
+        base = tk.nu_from_mu(atoms, base_params)
+
+    def base_factor(n):
+        return _scalar_laplace(base_params, n, -1) if base_kind == "laplace" else 1.0
 
     def base_moment(n):
         if base_kind == "uniform":
             return 1.0 + 0j if not any(n) else 0j
-        if base_kind == "table":
-            return complex(base.table[tuple(int(v) + base.radius for v in n)])
-        return sum(complex(w) * cmath.exp(2j * cmath.pi * sum(float(x[i]) * int(n[i])
-                                                               for i in range(d)))
-                   for x, w in zip(atoms.points, atoms.weights))
+        return base_factor(n) * sum(
+            complex(w) * cmath.exp(2j * cmath.pi * sum(float(x[i]) * int(n[i]) for i in range(d)))
+            for x, w in zip(atoms.points, atoms.weights)
+        )
 
     s = rng.uniform(0.0, 3.0, size=k)
     F = [np.eye(k, dtype=np.int64)[j] * (j + 1) for j in range(k)]
-    y = rng.random(d)
     E = np.eye(d, dtype=np.int64) * 2
     E[0, -1] += 1
     # layer -> (measure, scalar multiplier at n, index the base is read at)
@@ -475,20 +426,20 @@ def test_batched_moments_match_scalar_closed_forms(seed, d, k, base_kind, layer)
                        lambda n: _scalar_cts_defect(params, s, n), same),
         "defect_finite": (tk.defect_measure_finite(base, F, params),
                           lambda n: _scalar_finite_defect(params, F, n), same),
-        "translate": (tk.translate(base, y),
-                      lambda n: cmath.exp(2j * cmath.pi * sum(y[i] * int(n[i]) for i in range(d))),
-                      same),
         "pushforward_dual": (tk.pushforward_dual(base, E), lambda n: 1.0,
                              lambda n: [sum(int(E[i, j]) * int(n[j]) for j in range(d))
                                         for i in range(d)]),
     }
     mu, multiplier, read_at = layers[layer]
+    if base_kind == "laplace" and layer == "pushforward_dual":
+        assert isinstance(mu, tk.MappedIndexMeasure)
 
     N = np.asarray(list(np.ndindex((2 * radius + 1,) * d)), dtype=np.int64) - radius
     got = mu.moments(N)
     assert got.shape == (len(N),)
-    # relative to the size of the summed terms: |multiplier| * total variation
+    # relative to the size of the summed terms: |multipliers| * total variation
     variation = 1.0 if base_kind == "uniform" else float(np.sum(np.abs(atoms.weights)))
     for n, value in zip(N, got):
         want = multiplier(n) * base_moment(read_at(n))
-        assert abs(value - want) <= 1e-13 * abs(multiplier(n)) * variation, (layer, n.tolist())
+        scale = abs(multiplier(n) * base_factor(read_at(n))) * variation
+        assert abs(value - want) <= 1e-13 * scale, (layer, n.tolist())

@@ -219,13 +219,15 @@ def validate_scenario(scenario: Scenario) -> List[str]:
         lo = scenario.levels[m - 1]
         hi = scenario.levels[m]
         lhs = lo.D[:, None].astype(float) * (hi.theta @ lo.E.astype(float))
-        theta_defect = float(np.max(np.abs(lhs - lo.theta)))
+        # an infinite theta or r makes a defect inf - inf = NaN, a violation below
+        with np.errstate(invalid="ignore"):
+            theta_defect = float(np.max(np.abs(lhs - lo.theta)))
+            r_defect = float(np.max(np.abs(lo.D.astype(float) * hi.r - lo.r)))
         if not theta_defect <= RELATION_TOL:
             report.append(
                 f"levels {m}->{m + 1}: D_m theta_(m+1) E_m differs from theta_m "
                 f"by {theta_defect:.3e} (> {RELATION_TOL})"
             )
-        r_defect = float(np.max(np.abs(lo.D.astype(float) * hi.r - lo.r)))
         if not r_defect <= RELATION_TOL:
             report.append(
                 f"levels {m}->{m + 1}: D_m r^(m+1) differs from r^m "

@@ -23,6 +23,14 @@ invariance: the finite defect removes a meet-zero family F of integer steps,
 the continuous defect removes fractional steps s in [0, infinity)^k.  Their
 multipliers vanish nowhere for positive measures that arise from the
 transforms above, which is the computational content of subinvariance.
+
+The geometric pair and both defects are one step factor
+
+    1 - e^(-beta s.r) e^(2 pi i s.(theta n))
+
+multiplied over the rows s of a step matrix: the k x k identity for the
+geometric pair (kappa_from_nu is the defect at the unit steps), the sorted
+family F for the finite defect and diag(s) for the continuous one.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .torus_measure import (
     MultipliedMeasure,
     TorusMeasure,
     UniformMeasure,
+    _index_vector,
     positivity_test,
 )
 
@@ -195,8 +204,18 @@ def mu_from_nu(nu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
     )
 
 
-def _geometric_factors(params: BlockParams, N) -> np.ndarray:
-    return 1.0 - np.exp(-params.beta * params.r + TWO_PI_I * params.theta_dot(N))
+def _step_factors(steps: np.ndarray, params: BlockParams, N) -> np.ndarray:
+    """(B, S) factors 1 - e^(-beta s.r) e^(2 pi i s.(theta n)), a column per row s of steps."""
+    exponents = (-params.beta * steps) @ params.r + params.theta_dot(N) @ (TWO_PI_I * steps).T
+    return 1.0 - np.exp(exponents)
+
+
+def _step_measure(base: TorusMeasure, steps, invert: bool, params: BlockParams, tag: str):
+    """base times prod over the rows s of steps of the step factor (or its reciprocal)."""
+    steps = np.array(steps, dtype=float).reshape(-1, params.k)
+    steps.setflags(write=False)
+    multiplier = partial(_factor_product, partial(_step_factors, steps), invert, params)
+    return MultipliedMeasure(base, multiplier, tag=tag)
 
 
 def nu_from_kappa(kappa: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
@@ -208,20 +227,16 @@ def nu_from_kappa(kappa: TorusMeasure, params: BlockParams) -> MultipliedMeasure
     ||kappa|| = 1 / y_beta.
     """
     _check_dims(kappa, params)
-    return MultipliedMeasure(
-        kappa,
-        partial(_factor_product, _geometric_factors, True, params),
-        tag="geometric-resolvent(theta,r,beta)",
+    return _step_measure(
+        kappa, np.eye(params.k), True, params, "geometric-resolvent(theta,r,beta)"
     )
 
 
 def kappa_from_nu(nu: TorusMeasure, params: BlockParams) -> MultipliedMeasure:
-    """Inverse of nu_from_kappa: the full unit-step defect multiplier."""
+    """Inverse of nu_from_kappa: the defect of nu at the k unit steps."""
     _check_dims(nu, params)
-    return MultipliedMeasure(
-        nu,
-        partial(_factor_product, _geometric_factors, False, params),
-        tag="geometric-resolvent-inverse(theta,r,beta)",
+    return _step_measure(
+        nu, np.eye(params.k), False, params, "geometric-resolvent-inverse(theta,r,beta)"
     )
 
 
@@ -246,15 +261,8 @@ def defect_measure_finite(
     for a, b in itertools.combinations(fam, 2):
         if np.any(np.minimum(a, b) > 0):
             raise MeetNotZero(f"steps {a.tolist()} and {b.tolist()} have nonzero meet")
-
-    def multiplier(N, fam=tuple(fam), p=params):
-        t = p.theta_dot(N)
-        product = np.ones(len(N), dtype=complex)
-        for step in fam:
-            product *= 1.0 - np.exp(-p.beta * float(step @ p.r) + TWO_PI_I * (t @ step))
-        return product
-
-    return MultipliedMeasure(nu, multiplier, tag=f"finite-defect(F={[a.tolist() for a in fam]})")
+    tag = f"finite-defect(F={[a.tolist() for a in fam]})"
+    return _step_measure(nu, fam, False, params, tag)
 
 
 def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMeasure:
@@ -263,10 +271,10 @@ def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMe
     Removes, for each axis j, the factor (1 - e^(-beta s_j r_j) R_{s_j theta_j^T});
     the moment multiplier is
 
-        prod_j (1 - e^(-beta s_j r_j) e^(2 pi i s_j (theta n)_j)).
+        prod_j (1 - e^(-beta s_j r_j) e^(2 pi i s_j (theta n)_j)),
 
-    s_j = 0 makes the j-th factor vanish, so s = 0 yields the zero measure.
-    Negative entries raise NegativeS.
+    the step factor over the rows of diag(s).  s_j = 0 makes the j-th factor
+    vanish, so s = 0 yields the zero measure.  Negative entries raise NegativeS.
     """
     _check_dims(nu, params)
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -274,17 +282,7 @@ def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMe
         raise ValueError(f"s must be a vector of length {params.k}")
     if np.any(s < 0):
         raise NegativeS(f"s must be entrywise nonnegative, got {s.tolist()}")
-    s = s.copy()
-    s.setflags(write=False)
-
-    def multiplier(N, s=s, p=params):
-        t = p.theta_dot(N)
-        factors = 1.0 - np.exp(-p.beta * s * p.r + TWO_PI_I * s * t)
-        # multiply column by column: numpy rounds a complex product along
-        # contiguous rows differently in the last bit, which moves C04 rows
-        return np.prod(np.asfortranarray(factors), axis=1)
-
-    return MultipliedMeasure(nu, multiplier, tag=f"cts-defect(s={s.tolist()})")
+    return _step_measure(nu, np.diag(s), False, params, f"cts-defect(s={s.tolist()})")
 
 
 def numeric_limit_mu(
@@ -308,7 +306,7 @@ def numeric_limit_mu(
         raise ValueError("s_schedule must be a non-empty sequence")
     if np.any(schedule <= 0) or np.any(np.diff(schedule) >= 0):
         raise ValueError("s_schedule must be positive and strictly decreasing")
-    n = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    n = _index_vector(n, params.d)
     values = np.array(
         [defect_measure_cts(nu, np.full(params.k, s), params).moment(n) / s**params.k
          for s in schedule]

@@ -52,7 +52,6 @@ __all__ = [
     "WordParseError",
     "Word",
     "AlgebraElement",
-    "join",
     "multiply",
     "adjoint",
     "apply_dynamics",
@@ -190,16 +189,6 @@ class AlgebraElement:
             return f"AlgebraElement(level={self.level}, 0)"
         body = " + ".join(f"({c:.6g})*{w}" for w, c in self.sorted_terms())
         return f"AlgebraElement({body})"
-
-
-def join(p, q) -> Tuple[int, ...]:
-    """Componentwise maximum p v q of two points of N^k."""
-    p, q = _int_tuple(p, "p"), _int_tuple(q, "q")
-    if len(p) != len(q):
-        raise ValueError("join needs vectors of equal length")
-    if min(p + q, default=0) < 0:
-        raise ValueError("join is defined on N^k")
-    return tuple(map(max, p, q))
 
 
 def _theta_dots(theta, words):

@@ -33,7 +33,7 @@ PUBLIC = [
     "check_subinvariance", "consistency_residual", "defect_measure_cts",
     "defect_measure_finite", "derive_levels", "derive_next_level", "embed_word",
     "fock_dense_state", "fock_element_matrix", "fock_state_eval", "fock_tail_bound",
-    "fock_word_matrix", "geometric_tail_fraction", "join", "kappa_from_nu", "kms_residual",
+    "fock_word_matrix", "geometric_tail_fraction", "kappa_from_nu", "kms_residual",
     "laplace_quadrature", "level_constants", "moment_table", "mu_from_nu", "multiply",
     "normalized_nu", "nu_from_kappa", "nu_from_mu", "numeric_limit_mu", "overall_pass",
     "parse_word", "positivity_test", "preimage_points", "psi_eval", "psi_oracle",
@@ -45,7 +45,7 @@ PUBLIC = [
 
 DELETED = [
     "moment", "FourierTableMeasure", "OutOfBox", "translate", "atomic_to_json",
-    "embed_element", "sigma_map",
+    "embed_element", "sigma_map", "join",
 ]
 
 MODULES = (torus_measure, scenario, subinvariance, toeplitz_algebra, solenoid_limit, oracle,

@@ -328,6 +328,19 @@ def test_validate_rejects_non_finite_scenario(tmp_path, capsys, where):
     assert "non-finite" in out and "INVALID" in out
 
 
+@pytest.mark.parametrize("field", ["theta1", "r1"])
+def test_validate_lists_an_infinite_derive_seed_without_a_warning(tmp_path, capsys, field):
+    # every level derives from the seed, so each relation defect is inf - inf
+    obj = json.loads((SCENARIOS / "line_tower.json").read_text())
+    obj[field] = [[float("inf")]] if field == "theta1" else [float("inf")]
+    bad = tmp_path / "line_inf.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "non-finite" in out and "INVALID" in out
+    assert out.count("differs from") == 3 and "by nan" in out
+
+
 def _one_violation_line(capsys, prefix):
     captured = capsys.readouterr()
     assert captured.out == ""

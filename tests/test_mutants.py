@@ -10,22 +10,30 @@ The mutants below run at a reduced configuration on the line tower with its
 point thread and on the planar tower with ``planar_point_thread.json``; the
 planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 
-| mutant                                          | fails          |
-| ----------------------------------------------- | -------------- |
-| ``BlockParams.theta_dot`` of theta mod 1        | C01            |
-| ``state_eval`` without e^(-beta p.r)            | C06            |
-| +2 pi i in ``_laplace_factors``                 | C01, C04, C10  |
-| conjugated phase in ``defect_measure_cts``      | C04            |
-| normalization constant c_m dropped or doubled   | C12            |
-| c_m taken from the next level                   | C07, C12       |
-| ``apply_dynamics(a, -t)``                       | C05            |
-| ``join`` as a min in ``multiply``               | stops C11      |
+| mutant                                          | fails              |
+| ----------------------------------------------- | ------------------ |
+| ``BlockParams.theta_dot`` of theta mod 1        | C01                |
+| ``state_eval`` without e^(-beta p.r)            | C06                |
+| +2 pi i in ``_laplace_factors``                 | C01, C04, C10      |
+| conjugated phase in ``defect_measure_cts``      | C04                |
+| conjugated phase in ``_step_factors``           | C04, C06, C09, C10 |
+| normalization constant c_m dropped or doubled   | C12                |
+| c_m taken from the next level                   | C07, C12           |
+| ``apply_dynamics(a, -t)``                       | C05                |
+| ``join`` as a min in ``multiply``               | stops C11          |
 
 C05 catches ``apply_dynamics(a, -t)`` at 10 word pairs per level because it
 draws each b with q_b - p_b = p_a - q_a: ab has gauge degree 0, so phi(ab)
 need not vanish.  ``multiply`` with the join as a min builds words with negative exponents; engine words skip the public
 constructor's checks, so the dense operator check of C11 stops on an
 IndexError (``report`` exits 1), or a row fails.
+
+The geometric pair and both defect measures share ``_step_factors``, so its
+conjugated phase reaches four checks: C04 through the continuous defect, C06
+through ``nu_from_kappa`` against the Fock oracle, C09 through
+``kappa_from_nu`` against the truncated series, and C10 through
+``numeric_limit_mu``.  C03 composes each transform with its inverse, which
+cancels the mutant.
 
 One mutant is equivalent and has no test: dropping the ``% 1.0`` in
 ``toeplitz_algebra._theta_dots``.  Every phase exponent there pairs theta with
@@ -86,6 +94,12 @@ def _laplace_factors_plus(params, N):
     return params.beta * params.r + subinvariance.TWO_PI_I * params.theta_dot(N)
 
 
+def _step_factors_conjugated(steps, params, N):
+    # e^(-2 pi i s.(theta n)) in place of e^(2 pi i s.(theta n))
+    phases = params.theta_dot(N) @ (subinvariance.TWO_PI_I * steps).T
+    return 1.0 - np.exp((-params.beta * steps) @ params.r - phases)
+
+
 _DEFECT_CTS = subinvariance.defect_measure_cts
 _NORMALIZED = solenoid_limit._normalized_average
 
@@ -135,6 +149,8 @@ MUTANTS = {
         subinvariance, "_laplace_factors", _laplace_factors_plus, ("C01", "C04", "C10")),
     "cts_defect_conjugated": (
         subinvariance, "defect_measure_cts", _defect_cts_conjugated, ("C04",)),
+    "step_factors_conjugated": (
+        subinvariance, "_step_factors", _step_factors_conjugated, ("C04", "C06", "C09", "C10")),
     "c_m_dropped": (solenoid_limit, "_normalized_average", _normalized_without_c, ("C12",)),
     "c_m_doubled": (solenoid_limit, "_normalized_average", _normalized_doubled, ("C12",)),
     "c_m_of_next_level": (

@@ -69,6 +69,17 @@ degree 0, and ``numeric_limit_mu`` came to read its values from
 degree-matched pairs) and every C10 row that moved were re-frozen in each
 file here, and no other row.  The C10 rows moved in their last 10 to 13
 digits, because the defect multiplier rounds its product in another order.
+
+Later still, C01's wall-clock budget row, which always read 30.0 / 30.0 /
+0.0, was deleted from the report, and so from every file here: one JSON row,
+one CSV line and one text line, and nothing else.  And the geometric
+transforms and both defect measures came to share one step factor and one
+row-wise product.  So the three C04 "defect positivity" rows of
+``report_cubic_rows_parent.json`` (levels 1 to 3, where k = 2) were
+re-frozen, and no other row: the continuous defect had multiplied its k
+factors column by column, and rounds them in another order now.  They moved
+by about 1e-16, or in the 7th digit of a value near 1e-9.  At k = 1 a
+product has one factor, so no line-tower row moved.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -198,6 +199,33 @@ def test_cts_defect_has_no_axes_keyword():
         tk.defect_measure_cts(tk.UniformMeasure(1), np.array([0.5]), params, axes=[0])
 
 
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 3)])
+def test_kappa_is_the_defect_at_the_unit_steps(d, k):
+    # one step factor serves all three: the cts defect at s = 1 rounds every
+    # moment as kappa does; sorting F may reorder the finite defect's product
+    rng = np.random.default_rng(20 + d)
+    params = random_block(rng, d, k)
+    nu = tk.nu_from_mu(random_atomic(rng, d), params)
+    N = np.array(list(itertools.product(range(-3, 4), repeat=d)))
+    kappa = tk.kappa_from_nu(nu, params).moments(N)
+    assert np.array_equal(tk.defect_measure_cts(nu, np.ones(k), params).moments(N), kappa)
+    finite = tk.defect_measure_finite(nu, list(np.eye(k, dtype=np.int64)), params).moments(N)
+    assert np.max(np.abs(finite - kappa) / np.abs(kappa)) <= 1e-15
+
+
+def test_defect_measures_pickle_with_their_moments():
+    rng = np.random.default_rng(22)
+    params = random_block(rng, 2, 2)
+    nu = tk.nu_from_mu(random_atomic(rng, 2), params)
+    N = np.array(list(itertools.product(range(-2, 3), repeat=2)))
+    for defect in (tk.defect_measure_cts(nu, [0.3, 1.2], params),
+                   tk.defect_measure_finite(nu, [[1, 0], [0, 2]], params),
+                   tk.defect_measure_finite(nu, [], params)):
+        restored = pickle.loads(pickle.dumps(defect))
+        assert restored.tag == defect.tag
+        assert np.array_equal(restored.moments(N), defect.moments(N))
+
+
 def test_check_subinvariance_accepts_and_rejects():
     rng = np.random.default_rng(8)
     params = random_block(rng, 2, 1)
@@ -264,6 +292,17 @@ def test_numeric_limit_requires_decreasing_schedule():
     nu = tk.nu_from_mu(tk.UniformMeasure(1), params)
     with pytest.raises(ValueError):
         tk.numeric_limit_mu(nu, params, np.array([1]), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("n", [[0.5], [np.nan], [0, 1]])
+def test_numeric_limit_rejects_an_index_that_moment_rejects(n):
+    # a non-integral index was once truncated to n = 0 and its values returned
+    params = _unit_block()
+    nu = tk.nu_from_mu(tk.AtomicMeasure(np.array([[0.3]]), np.array([1.0])), params)
+    with pytest.raises(ValueError, match="moment index"):
+        nu.moment(n)
+    with pytest.raises(ValueError, match="moment index"):
+        tk.numeric_limit_mu(nu, params, n, (0.1, 0.01))
 
 
 def test_block_params_validation():

@@ -20,10 +20,6 @@ def _theta(value: float = 1.0) -> np.ndarray:
     return np.array([[value]])
 
 
-def test_join_is_componentwise_max():
-    assert tuple(tk.join(np.array([1, 3]), np.array([2, 0]))) == (2, 3)
-
-
 def test_product_collapses_to_single_word():
     # (V0 U1 V*1)(V2 U0 V*0): join of 1 and 2 is 2, so the result is
     # V1 U1 V*0 with phase e^(2 pi i theta) from the crossing

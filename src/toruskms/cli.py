@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 a verification failed or a constraint is violated,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -249,12 +250,8 @@ def _cmd_transform(args) -> int:
 
 
 def _suite_config(args) -> SuiteConfig:
-    return SuiteConfig(
-        samples=args.samples,
-        s_samples=args.s_samples,
-        moment_box=args.moment_box,
-        seed=args.seed,
-    )
+    """The report options, one per SuiteConfig field."""
+    return SuiteConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SuiteConfig)})
 
 
 def _config_echo(args) -> dict:
@@ -262,10 +259,7 @@ def _config_echo(args) -> dict:
         "suite": args.suite,
         "scenario": args.scenario,
         "thread": args.thread,
-        "seed": args.seed,
-        "samples": args.samples,
-        "s_samples": args.s_samples,
-        "moment_box": args.moment_box,
+        **dataclasses.asdict(_suite_config(args)),
         "oracle_tol": ORACLE_TOL,
     }
 

@@ -31,7 +31,7 @@ them to produce a value.  They import data containers only, plus the route A
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -44,7 +44,6 @@ from .torus_measure import AtomicMeasure, TorusMeasure
 
 __all__ = [
     "ThetaZero",
-    "QuadratureSpec",
     "FockTruncation",
     "laplace_quadrature",
     "psi_oracle",
@@ -60,7 +59,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# e^(-beta W_j r_j) <= TRUNC_EPS for the default quadrature window.
+# e^(-beta W_j r_j) <= TRUNC_EPS for the quadrature window W_j.
 _TRUNC_EPS = 1e-13
 # Phase-plus-decay budget per Gauss-Legendre panel; 16 nodes resolve it to
 # well below 1e-15 relative.
@@ -76,47 +75,15 @@ def _theta_n(params: BlockParams, n) -> np.ndarray:
     return np.asarray(n, dtype=float) @ params.theta.T
 
 
-@lru_cache(maxsize=16)
-def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+@lru_cache(maxsize=1)
+def _leggauss():
+    # on first use, so that importing the package does not load numpy.polynomial
+    return np.polynomial.legendre.leggauss(16)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Gauss-Legendre rule for the Laplace window [0, W_j] per axis.
-
-    widths[j] truncates axis j so that e^(-beta W_j r_j) <= 1e-12; panels and
-    nodes fix the composite rule shared by all axes.
-    """
-
-    widths: Tuple[float, ...]
-    panels: int
-    nodes: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
-        if any(w <= 0 for w in self.widths) or self.panels < 1 or self.nodes < 2:
-            raise ValueError("need positive widths, >= 1 panel, >= 2 nodes")
-
-    @classmethod
-    def for_params(cls, params: BlockParams, n) -> "QuadratureSpec":
-        """A spec adequate for the index n: window beats 1e-12 decay, panels
-        resolve the oscillation 2 pi (theta n)_j against 16-node panels."""
-        decay = params.beta * params.r
-        widths = np.log(1.0 / _TRUNC_EPS) / decay
-        t = np.abs(_theta_n(params, n))
-        speed = np.hypot(decay, TWO_PI * t)
-        panels = int(max(4, np.max(np.ceil(widths * speed / _PANEL_BUDGET))))
-        return cls(widths=tuple(widths), panels=panels, nodes=16)
-
-    def doubled(self) -> "QuadratureSpec":
-        return replace(self, panels=2 * self.panels)
-
-
-def _axis_integral(z: complex, width: float, panels: int, nodes: int) -> complex:
-    """integral of e^(z w) dw over [0, width] by composite Gauss-Legendre."""
-    x, w = _leggauss(nodes)
+def _axis_integral(z: complex, width: float, panels: int) -> complex:
+    """integral of e^(z w) dw over [0, width] by composite 16-node Gauss-Legendre."""
+    x, w = _leggauss()
     edges = np.linspace(0.0, width, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -125,24 +92,27 @@ def _axis_integral(z: complex, width: float, panels: int, nodes: int) -> complex
     return complex(np.sum(weights * np.exp(z * pts)))
 
 
-def laplace_quadrature(
-    mu: TorusMeasure, params: BlockParams, n, spec: Optional[QuadratureSpec] = None
-) -> complex:
+def laplace_quadrature(mu: TorusMeasure, params: BlockParams, n) -> complex:
     """Quadrature value of the Laplace-averaged moment of mu at index n.
 
     Computes prod_j integral over [0, W_j] of e^((-beta r_j + 2 pi i
     (theta n)_j) w) dw, times moment(mu, n); the integrand factorizes across
     axes, so the tensor rule reduces to the product of one-dimensional
-    composite rules.  Agrees with the closed form of nu_from_mu to the
-    truncation tail (about 1e-12) plus quadrature error.
+    composite rules.  The window W_j = ln(1/_TRUNC_EPS) / (beta r_j) leaves a
+    decay tail of 1e-13, and every axis shares max(4, ceil(max_j W_j
+    hypot(beta r_j, 2 pi |(theta n)_j|) / _PANEL_BUDGET)) panels of 16 nodes,
+    which resolve the oscillation.  Agrees with the closed form of nu_from_mu
+    to the truncation tail (about 1e-12) plus quadrature error.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_params(params, n)
     t = _theta_n(params, n)
+    decay = params.beta * params.r
+    widths = np.log(1.0 / _TRUNC_EPS) / decay
+    speed = np.hypot(decay, TWO_PI * np.abs(t))
+    panels = int(max(4, np.max(np.ceil(widths * speed / _PANEL_BUDGET))))
     value = 1.0 + 0j
     for j in range(params.k):
         z = complex(-params.beta * params.r[j], TWO_PI * t[j])
-        value *= _axis_integral(z, spec.widths[j], spec.panels, spec.nodes)
+        value *= _axis_integral(z, float(widths[j]), panels)
     return value * mu.moment(n)
 
 
@@ -174,13 +144,13 @@ class FockTruncation:
         object.__setattr__(self, "box", int(self.box))
 
     @classmethod
-    def for_params(cls, params: BlockParams, tail: float = 1e-10) -> "FockTruncation":
-        """Smallest box whose closed-form tail weight is <= tail.
+    def for_params(cls, params: BlockParams) -> "FockTruncation":
+        """Smallest box whose closed-form tail weight is <= 1e-10.
 
         tail_weight never grows with the box, even in floating point, so
         doubling to a box that fits and bisecting below it finds that box.
         """
-        fits = lambda box: cls(box).tail_weight(params) <= tail
+        fits = lambda box: cls(box).tail_weight(params) <= 1e-10
         top = 1
         while not fits(top):
             if top >= 200000:

@@ -218,9 +218,10 @@ def validate_scenario(scenario: Scenario) -> List[str]:
     for m in range(1, scenario.depth):
         lo = scenario.levels[m - 1]
         hi = scenario.levels[m]
-        lhs = lo.D[:, None].astype(float) * (hi.theta @ lo.E.astype(float))
-        # an infinite theta or r makes a defect inf - inf = NaN, a violation below
+        # an infinite theta or r makes a product inf * 0 or a defect inf - inf,
+        # so NaN, a violation below
         with np.errstate(invalid="ignore"):
+            lhs = lo.D[:, None].astype(float) * (hi.theta @ lo.E.astype(float))
             theta_defect = float(np.max(np.abs(lhs - lo.theta)))
             r_defect = float(np.max(np.abs(lo.D.astype(float) * hi.r - lo.r)))
         if not theta_defect <= RELATION_TOL:

@@ -320,6 +320,6 @@ def preimage_points(y, E) -> np.ndarray:
     return np.asarray(sorted(found, key=lambda v: tuple(np.round(v, 12))))
 
 
-def _torus_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def _torus_close(a: np.ndarray, b: np.ndarray) -> bool:
     gap = np.abs(a - b)
-    return bool(np.max(np.minimum(gap, 1.0 - gap)) <= tol)
+    return bool(np.max(np.minimum(gap, 1.0 - gap)) <= 1e-9)

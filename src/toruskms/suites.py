@@ -80,20 +80,21 @@ CLOSED_FORM_TOL = 1e-12
 ENGINE_TOL = 1e-10
 ORACLE_TOL = 1e-6
 FUZZ_TOL = 1e-12
+# Engine instances C11 draws.
+FUZZ_COUNT = 500
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all checks; a size that checks nothing raises ValueError."""
+    """The report options shared by all checks; a size that checks nothing raises ValueError."""
 
     samples: int = 100
     s_samples: int = 50
     moment_box: int = 5
     seed: int = 0
-    fuzz_count: int = 500
 
     def __post_init__(self):
-        for size, low in (("samples", 1), ("s_samples", 0), ("moment_box", 0), ("fuzz_count", 1)):
+        for size, low in (("samples", 1), ("s_samples", 0), ("moment_box", 0)):
             if getattr(self, size) < low:
                 raise ValueError(f"{size} must be at least {low}, got {getattr(self, size)}")
 
@@ -139,25 +140,9 @@ def _row(
     )
 
 
-def _worst(values: Iterable[float], start: float = 0.0) -> float:
-    """Largest of start and values, folded left to right by two rules.
-
-    - The first NaN wins and ends the fold.  The builtin max drops a NaN that
-      is not its first argument, so a NaN residual would pass as the one
-      before it.
-    - On a tie the later value wins, as in a two-element np.max: the fold of
-      (0.0, -0.0) is -0.0, and a report prints that sign.
-    """
-    worst = float(start)
-    if worst != worst:
-        return worst
-    for value in values:
-        value = float(value)
-        if value != value:
-            return value
-        if value >= worst:
-            worst = value
-    return worst
+def _worst(values: Iterable[float]) -> float:
+    """Largest of 0.0 and values; a NaN anywhere wins, where the builtin max would drop it."""
+    return float(np.max((0.0, *values)))
 
 
 def _residual_row(check_id: str, level: int, quantity: str, residual: float, bound: float):
@@ -316,14 +301,14 @@ def _check_round_trips(scenario, thread, cfg, rng) -> List[StateReport]:
 # C04: subinvariance positivity of the thread's Laplace averages.
 
 
-def _subinv_lattice_points(scenario: Scenario, m: int, p_max: int = 2) -> List[np.ndarray]:
-    """Fractional steps D_{m,m+l}^(-1) p for l = 1..depth-m and p in [0,p_max]^k."""
+def _subinv_lattice_points(scenario: Scenario, m: int) -> List[np.ndarray]:
+    """Fractional steps D_{m,m+l}^(-1) p for l = 1..depth-m and p in [0,2]^k."""
     k = scenario.dims.k
     points: List[np.ndarray] = []
     divisor = np.ones(k)
     for l in range(1, scenario.depth - m + 1):
         divisor = divisor * scenario.level(m + l - 1).D.astype(float)
-        for idx in np.ndindex((p_max + 1,) * k):
+        for idx in np.ndindex((3,) * k):
             p = np.asarray(idx, dtype=float)
             if not np.any(p):
                 continue
@@ -371,8 +356,8 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
         if not verdicts[worst].is_positive:
             quantity += f" worst s={np.round(s_points[worst], 4).tolist()}: "
             quantity += verdicts[worst].describe()
-        # numpy's reduction of a long list orders zero signs its own way, and
-        # the report prints that sign, so this one stays on np.max
+        # the row's value is the certified floor itself, which may lie above 0,
+        # so the violations' max is taken without _worst's 0.0
         rows.append(_positivity_row(m, quantity, float(np.max(violations))))
     return rows
 
@@ -398,9 +383,14 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
         params = BlockParams.at_level(scenario, m)
         nu_m = normalized_nu(thread, m)
         nu_rand = _normalized_average(AtomicMeasure(points[m - 1], weights[m - 1]), params)
+        # KMS holds in both orders, so each pair twists the word whose factor
+        # e^(-beta (p - q).r) is at most 1: a large r cannot overflow it
+        swap = ((p_a - q_a)[m - 1] @ params.r < 0).tolist()
         residuals = []
         for i, (pairs, n_pairs) in enumerate(zip(pq[m - 1].tolist(), ns[m - 1].tolist())):
             a, b = (_element(pairs[j], n_pairs[j], (1.0,), m) for j in (0, 1))
+            if swap[i]:
+                a, b = b, a
             state = nu_m if i % 2 == 0 else nu_rand
             residuals.append(kms_residual(state, params, a, b))
         rows.append(
@@ -592,7 +582,7 @@ def _check_limit_convergence(scenario, thread, cfg, rng) -> List[StateReport]:
 
 
 def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
-    k, d, count = scenario.dims.k, scenario.dims.d, cfg.fuzz_count
+    k, d, count = scenario.dims.k, scenario.dims.d, FUZZ_COUNT
     # one generator call per kind of draw.  An instance's exponent rows 0-5 are
     # the terms of a, b and c; row 6 is the rotation relation's p (q unused), n.
     pq, ns = rng.integers(0, 4, size=(count, 7, 2, k)), rng.integers(-3, 4, size=(count, 7, d))
@@ -638,7 +628,7 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
     rows = [
         _residual_row(
             "C11", 0,
-            f"engine fuzz over {cfg.fuzz_count} instances (associativity, involution, "
+            f"engine fuzz over {count} instances (associativity, involution, "
             "dynamics group law and homomorphism, rotation relation)",
             _worst(gaps), FUZZ_TOL,
         )

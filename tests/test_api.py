@@ -4,9 +4,18 @@ The frozen list below is the contract.  A name enters it by being called from
 outside the tests (the package, the CLI, ``demos/`` or ``perfbench/``), by
 being raised or returned by a name that is, or by being a reference route the
 tests compare against (``fock_dense_state``).  Changing it is an API change.
+
+``SETTINGS`` freezes the other half of the surface: every parameter with a
+default of a public callable (a function, a class's constructor, or a public
+method or classmethod of a public class), and every ``SuiteConfig`` field.  A
+setting only the tests set is a constant of the module instead, so a new
+keyword shows here as a one-line diff, as a new name does in ``PUBLIC``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import pytest
 
@@ -26,7 +35,7 @@ PUBLIC = [
     "FockTruncation", "IncompatibleThread", "InvalidBlock", "InvalidThread",
     "LevelConstants", "LevelData", "LevelMismatch", "MappedIndexMeasure", "MeetNotZero",
     "MultipliedMeasure", "NegativeInput", "NegativeS", "NonNonnegativeTheta",
-    "NotSubinvariant", "PositivityVerdict", "QuadratureSpec", "SUITES", "Scenario",
+    "NotSubinvariant", "PositivityVerdict", "SUITES", "Scenario",
     "SingularE", "SingularMatrix", "SolenoidMeasureThread", "StateReport", "SuiteConfig",
     "ThetaZero", "TopLevel", "TorusMeasure", "UniformMeasure", "Word", "WordParseError",
     "adjoint", "apply_dynamics", "atomic_from_json", "bhs_reconciliation", "build_thread",
@@ -45,8 +54,31 @@ PUBLIC = [
 
 DELETED = [
     "moment", "FourierTableMeasure", "OutOfBox", "translate", "atomic_to_json",
-    "embed_element", "sigma_map", "join",
+    "embed_element", "sigma_map", "join", "QuadratureSpec",
 ]
+
+SETTINGS = [
+    "AlgebraElement.from_word(coeff=1.0)",
+    "LevelData.violations(prefix='')",
+    "SuiteConfig(moment_box=5)",
+    "SuiteConfig(s_samples=50)",
+    "SuiteConfig(samples=100)",
+    "SuiteConfig(seed=0)",
+    "build_thread(kind='uniform')",
+    "build_thread(points=None)",
+    "build_thread(toplevel=None)",
+    "build_thread(y1=None)",
+    "fock_state_eval(trunc=None)",
+    "mu_from_nu(check=True)",
+    "nu_from_mu(check=True)",
+    "positivity_test(moment_radius=5)",
+    "render_json(config=None)",
+    "run_checks(cfg=None)",
+    "run_suite(cfg=None)",
+    "state_eval(check_state=True)",
+]
+
+SUITE_CONFIG_FIELDS = ["samples", "s_samples", "moment_box", "seed"]
 
 MODULES = (torus_measure, scenario, subinvariance, toeplitz_algebra, solenoid_limit, oracle,
            suites)
@@ -76,3 +108,30 @@ def test_star_import_binds_exactly_the_public_names():
 def test_deleted_names_are_gone(name):
     assert not hasattr(tk, name)
     assert not any(hasattr(module, name) for module in MODULES)
+
+
+def _public_callables():
+    """(qualified name, callable) for each public function, class and public method."""
+    for name in tk.__all__:
+        obj = getattr(tk, name)
+        if not inspect.isclass(obj):
+            if callable(obj):
+                yield name, obj
+            continue
+        if not issubclass(obj, BaseException):
+            yield name, obj
+        for attr, member in vars(obj).items():
+            fn = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
+            if not attr.startswith("_") and inspect.isfunction(fn):
+                yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_settings_are_the_frozen_list():
+    found = [
+        f"{name}({param.name}={param.default!r})"
+        for name, fn in _public_callables()
+        for param in inspect.signature(fn).parameters.values()
+        if param.default is not param.empty
+    ]
+    assert sorted(found) == SETTINGS
+    assert [field.name for field in dataclasses.fields(tk.SuiteConfig)] == SUITE_CONFIG_FIELDS

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toruskms as tk
 from toruskms.cli import main
@@ -341,6 +346,22 @@ def test_validate_lists_an_infinite_derive_seed_without_a_warning(tmp_path, caps
     assert out.count("differs from") == 3 and "by nan" in out
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_an_infinite_explicit_theta_is_listed_without_a_warning(tmp_path, capsys, level, value):
+    # the relation D_(m-1) theta_m E_(m-1) meets the infinite entry with E's
+    # zeros as well, and inf * 0 is NaN: a violation, not a RuntimeWarning
+    obj = json.loads((SCENARIOS / "planar_tower.json").read_text())
+    obj["levels"][level - 1]["theta"][0][0] = value
+    bad = tmp_path / "planar_inf.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert f"level {level}: theta has a non-finite entry" in out and out.endswith("INVALID\n")
+    assert main(["report", "--scenario", str(bad), "--samples", "5", "--s-samples", "1"]) == 1
+    _one_violation_line(capsys, f"level {level}: theta has a non-finite entry")
+
+
 def _one_violation_line(capsys, prefix):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -361,13 +382,14 @@ def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
         tk.run_checks(("C07",), scenario, thread, tk.SuiteConfig(samples=10))
 
 
-def test_engine_fuzz_fails_on_nan_theta(tmp_path):
+def test_engine_fuzz_fails_on_nan_theta(tmp_path, monkeypatch):
     # products under the NaN level keep NaN coefficients, so the fuzz row's
     # sup distance is NaN and fails instead of passing as 0
     bad = _poisoned_planar(tmp_path, "theta")
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
     thread = tk.build_thread(scenario, kind="uniform")
-    rows = tk.run_checks(["C11"], scenario, thread, tk.SuiteConfig(fuzz_count=20))
+    monkeypatch.setattr("toruskms.suites.FUZZ_COUNT", 20)
+    rows = tk.run_checks(["C11"], scenario, thread, tk.SuiteConfig())
     fuzz = rows[0]
     assert fuzz.quantity.startswith("engine fuzz") and fuzz.status == "fail"
     assert np.isnan(fuzz.residual)
@@ -467,3 +489,107 @@ def test_nan_in_D_or_E_is_a_bad_scenario(tmp_path, capsys, field, message, comma
     assert captured.out == ""
     assert captured.err.startswith("error: bad scenario in ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _numeric_leaves(obj, path=()):
+    """The path of every float or int in a parsed JSON object."""
+    if isinstance(obj, dict):
+        obj = obj.items()
+    elif isinstance(obj, list):
+        obj = enumerate(obj)
+    else:
+        yield path
+        return
+    for key, value in obj:
+        yield from _numeric_leaves(value, (*path, key))
+
+
+# each tower's point thread y1, and a word at level 2
+_POISON_TOWERS = {
+    "line": ([0.3], "V[0] U[1] V*[0] @ 2"),
+    "planar": ([0.3, 0.55], "V[0,0] U[1,0] V*[0,0] @ 2"),
+}
+
+
+def _poison_cases():
+    """(tower, thread form, file, path) for each numeric field the loaders read.
+
+    The line tower is in derive mode and reads theta1, r1, beta, D and E.  The
+    planar tower is in explicit mode and never reads theta1 or r1, so they are
+    left out; its levels' theta and r are poisoned instead.  Each tower's point
+    thread is given by its y1, or by the points at every level.
+    """
+    cases = []
+    for tower, (y1, _word) in _POISON_TOWERS.items():
+        obj = json.loads((SCENARIOS / f"{tower}_tower.json").read_text())
+        fields = ("beta", "D", "E") + (("theta1", "r1") if tower == "line" else ("levels",))
+        for field in fields:
+            paths = _numeric_leaves(obj[field], (field,))
+            cases += [(tower, "y1", "scenario", path) for path in paths]
+        cases += [(tower, "y1", "thread", ("y1", i)) for i in range(len(y1))]
+        depth = len(obj["D"])
+        cases += [(tower, "points", "thread", ("points", m, i))
+                  for m in range(depth) for i in range(len(y1))]
+    return cases
+
+
+_POISON_CASES = _poison_cases()
+_POISON_COMMANDS = {
+    "validate": ["validate"],
+    "state": ["state", "--word", "{word}", "--oracle"],
+    "suite": ["suite", "--suite", "consistency", "--samples", "5"],
+    "report": ["report", "--samples", "5", "--s-samples", "1", "--moment-box", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def poison_inputs(tmp_path_factory):
+    """A directory to write poisoned files to, and each tower's parsed files."""
+    towers = {}
+    for tower, (y1, _word) in _POISON_TOWERS.items():
+        obj = json.loads((SCENARIOS / f"{tower}_tower.json").read_text())
+        good = tk.build_thread(tk.scenario_from_json(obj), kind="point", y1=np.array(y1))
+        points = [measure.points[0].tolist() for measure in good.measures]
+        threads = {"y1": {"kind": "point", "y1": y1}, "points": {"kind": "point", "points": points}}
+        towers[tower] = obj, threads
+    return tmp_path_factory.mktemp("poison"), towers
+
+
+@pytest.mark.parametrize("form", ["y1", "points"])
+@pytest.mark.parametrize("tower", ["line", "planar"])
+def test_the_unpoisoned_inputs_pass(poison_inputs, tower, form, capsys):
+    # so the property below poisons inputs that pass, in each of their forms
+    root, towers = poison_inputs
+    scenario, threads = towers[tower]
+    (root / "scenario.json").write_text(json.dumps(scenario))
+    (root / "thread.json").write_text(json.dumps(threads[form]))
+    common = ["--scenario", str(root / "scenario.json"), "--thread", str(root / "thread.json")]
+    assert main(["validate", *common]) == 0
+    assert main(["state", *common, "--word", _POISON_TOWERS[tower][1], "--oracle"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=240, deadline=None)
+@given(
+    case=st.sampled_from(_POISON_CASES),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    command=st.sampled_from(sorted(_POISON_COMMANDS)),
+)
+def test_a_poisoned_input_never_exits_zero(poison_inputs, case, value, command):
+    root, towers = poison_inputs
+    tower, form, target, path = case
+    scenario, threads = towers[tower]
+    files = {"scenario": copy.deepcopy(scenario), "thread": copy.deepcopy(threads[form])}
+    leaf = files[target]
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    for name, obj in files.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))  # json writes NaN and Infinity
+    argv = [part.format(word=_POISON_TOWERS[tower][1]) for part in _POISON_COMMANDS[command]]
+    argv += ["--scenario", str(root / "scenario.json"), "--thread", str(root / "thread.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code != 0, (case, value, command, out.getvalue())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

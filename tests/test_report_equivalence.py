@@ -80,6 +80,14 @@ re-frozen, and no other row: the continuous defect had multiplied its k
 factors column by column, and rounds them in another order now.  They moved
 by about 1e-16, or in the 7th digit of a value near 1e-9.  At k = 1 a
 product has one factor, so no line-tower row moved.
+
+Later still, C05 came to twist, in each pair, the word whose factor
+e^(-beta (p - q).r) is at most 1, swapping a and b where (p_a - q_a).r < 0,
+so that a tower with a large r cannot overflow the twist.  So the C05 rows
+that moved were re-frozen, and no other row: in each ``*_rows_parent.json``
+file and in the CSV and text bytes.  Their draws did not change; the same
+pairs are evaluated in the other order, and the residuals are rounding noise
+below 2e-16 around a true 0.
 """
 
 from __future__ import annotations

@@ -91,11 +91,12 @@ class LevelData:
         if D.shape != (k,) or E.shape != (d, d) or r.shape != (k,):
             raise ValueError("level data shapes are inconsistent")
         D, E = np.asarray(D, dtype=float), np.asarray(E, dtype=float)
-        # written so that a NaN or an infinity fails the gate
-        if not np.max(np.abs(D - np.rint(D))) <= 1e-9:
-            raise ValueError("D must have integer diagonal entries")
-        if not np.max(np.abs(E - np.rint(E))) <= 1e-9:
-            raise ValueError("E must be an integer matrix")
+        # written so that a NaN or an infinity fails the gate, without a warning
+        with np.errstate(invalid="ignore"):
+            if not np.max(np.abs(D - np.rint(D))) <= 1e-9:
+                raise ValueError("D must have integer diagonal entries")
+            if not np.max(np.abs(E - np.rint(E))) <= 1e-9:
+                raise ValueError("E must be an integer matrix")
         object.__setattr__(self, "theta", _freeze(theta))
         object.__setattr__(self, "D", _freeze(np.rint(D).astype(np.int64)))
         object.__setattr__(self, "E", _freeze(np.rint(E).astype(np.int64)))

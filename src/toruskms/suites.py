@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,15 +47,8 @@ from .subinvariance import (
     nu_from_mu,
     numeric_limit_mu,
 )
-from .toeplitz_algebra import (
-    AlgebraElement,
-    Word,
-    adjoint,
-    apply_dynamics,
-    kms_residual,
-    multiply,
-    state_eval,
-)
+from . import toeplitz_algebra as engine
+from .toeplitz_algebra import AlgebraElement, Word, state_eval
 from .torus_measure import (
     POSITIVITY_TOL,
     AtomicMeasure,
@@ -181,15 +175,6 @@ def _random_setup(rng):
 def _ints(rng, low: int, high: int, size: int) -> Tuple[int, ...]:
     """size integers drawn from [low, high) as a tuple of Python ints."""
     return tuple(rng.integers(low, high, size=size).tolist())
-
-
-def _element(pq, ns, coeffs, level: int) -> AlgebraElement:
-    """Sum of coeffs[i] V_p U_n V*_q over the rows (p, q) of pq and n of ns, lists of ints."""
-    out: Dict[Word, complex] = {}
-    for (p, q), n, coeff in zip(pq, ns, coeffs):
-        w = Word(tuple(p), tuple(n), tuple(q), level)
-        out[w] = out.get(w, 0j) + coeff
-    return AlgebraElement(level, out)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +364,18 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
     p_a, q_a, p_b = pq[:, :, 0, 0, 0], pq[:, :, 0, 0, 1], pq[:, :, 1, 0, 0]
     p_b = p_b + np.maximum(0, q_a - p_a - p_b)
     pq[:, :, 1, 0, 0], pq[:, :, 1, 0, 1] = p_b, p_b + p_a - q_a
+    parts = pq[..., 0, :], ns, pq[..., 1, :]
     for m in range(1, depth + 1):
         params = BlockParams.at_level(scenario, m)
         nu_m = normalized_nu(thread, m)
         nu_rand = _normalized_average(AtomicMeasure(points[m - 1], weights[m - 1]), params)
         # KMS holds in both orders, so each pair twists the word whose factor
         # e^(-beta (p - q).r) is at most 1: a large r cannot overflow it
-        swap = ((p_a - q_a)[m - 1] @ params.r < 0).tolist()
-        residuals = []
-        for i, (pairs, n_pairs) in enumerate(zip(pq[m - 1].tolist(), ns[m - 1].tolist())):
-            a, b = (_element(pairs[j], n_pairs[j], (1.0,), m) for j in (0, 1))
-            if swap[i]:
-                a, b = b, a
-            state = nu_m if i % 2 == 0 else nu_rand
-            residuals.append(kms_residual(state, params, a, b))
+        swap = ((p_a - q_a)[m - 1] @ params.r < 0)[:, None, None, None]
+        p, n, q = (np.where(swap, x[m - 1, :, ::-1], x[m - 1]) for x in parts)
+        ones = np.ones((cfg.samples, 1), complex)
+        a, b = (engine._batch(p[:, j], n[:, j], q[:, j], ones) for j in (0, 1))
+        residuals = engine._kms_residuals(cycle((nu_m, nu_rand)), params, a, b, m)
         rows.append(
             _residual_row(
                 "C05", m,
@@ -590,41 +573,35 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
     ts = rng.uniform(-2.0, 2.0, size=(count, 2))
     # the dense check: a measure kappa and 20 pairs of one-term elements
     kappa = _random_atomic(rng, d)
-    dense_pq = rng.integers(0, 2, size=(20, 2, 1, 2, k)).tolist()
-    dense_ns = rng.integers(-2, 3, size=(20, 2, 1, d)).tolist()
-    dense_coeffs = rng.normal(size=(20, 2, 1, 2)).view(complex)[..., 0].tolist()
-    gaps = []
-    for i in range(count):
-        m = 1 + (i % scenario.depth)
-        lvl = scenario.level(m)
-        theta, r = lvl.theta, lvl.r
-        v, u, z = pq[i].tolist(), ns[i].tolist(), coeffs[i].tolist()
-        a, b, c = (_element(v[j:j + 2], u[j:j + 2], z[j:j + 2], m) for j in (0, 2, 4))
-        # the engine is deterministic, so ab and alpha_t1(a) are formed once
-        ab = multiply(a, b, theta)
-        left = multiply(ab, c, theta)
-        right = multiply(a, multiply(b, c, theta), theta)
-        gaps.append(left.sup_coefficient_distance(right))
-        inv_l = adjoint(ab)
-        inv_r = multiply(adjoint(b), adjoint(a), theta)
-        gaps.append(inv_l.sup_coefficient_distance(inv_r))
-        t1, t2 = ts[i].tolist()
-        a_t1 = apply_dynamics(a, t1, r)
-        one = apply_dynamics(a_t1, t2, r)
-        two = apply_dynamics(a, t1 + t2, r)
-        gaps.append(one.sup_coefficient_distance(two))
-        hom_l = apply_dynamics(ab, t1, r)
-        hom_r = multiply(a_t1, apply_dynamics(b, t1, r), theta)
-        gaps.append(hom_l.sup_coefficient_distance(hom_r))
-        # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n
-        p, n = tuple(v[6][0]), tuple(u[6])
-        u_word = AlgebraElement.from_word(Word(p=(0,) * k, n=n, q=(0,) * k, level=m))
-        v_word = AlgebraElement.from_word(Word(p=p, n=(0,) * d, q=(0,) * k, level=m))
-        tn = np.mod(theta, 1.0) @ np.asarray(n, dtype=float)
-        phase = complex(np.exp(2j * np.pi * float(np.asarray(p, dtype=float) @ tn)))
-        comm_l = multiply(u_word, v_word, theta)
-        comm_r = phase * multiply(v_word, u_word, theta)
-        gaps.append(comm_l.sup_coefficient_distance(comm_r))
+    dense_pq = rng.integers(0, 2, size=(20, 2, 1, 2, k))
+    dense_ns = rng.integers(-2, 3, size=(20, 2, 1, d))
+    dense_coeffs = rng.normal(size=(20, 2, 1, 2)).view(complex)[..., 0]
+    p, q, gaps = pq[:, :, 0], pq[:, :, 1], []
+    for m in range(1, scenario.depth + 1):
+        # instance i is at level 1 + i % depth: one kernel call per stage and level
+        lvl, i = scenario.level(m), slice(m - 1, None, scenario.depth)
+        mul = lambda x, y: engine._product(x, y, lvl.theta)
+        flow = lambda x, t: engine._dynamics(x, t.astype(complex), lvl.r)
+        a, b, c = (engine._batch(*(x[i, j:j + 2] for x in (p, ns, q, coeffs))) for j in (0, 2, 4))
+        (t1, t2), ab, a_t1 = ts[i].T, mul(a, b), flow(a, ts[i, 0])
+        gaps += [
+            engine._gaps(mul(ab, c), mul(a, mul(b, c))),
+            engine._gaps(engine._adjoint(ab, k), mul(engine._adjoint(b, k), engine._adjoint(a, k))),
+            engine._gaps(flow(a_t1, t2), flow(a, t1 + t2)),
+            engine._gaps(flow(ab, t1), mul(a_t1, flow(b, t1))),
+        ]
+        # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n, with the
+        # reference phase formed per instance by numpy, apart from the engine
+        p_v, n_u, one = p[i, 6:], ns[i, 6:], np.ones((len(ts[i]), 1), complex)
+        u_word = engine._batch(0 * p_v, n_u, 0 * p_v, one)
+        v_word = engine._batch(p_v, 0 * n_u, 0 * p_v, one)
+        phase = np.array([
+            complex(np.exp(2j * np.pi * float(np.asarray(p, dtype=float) @ (
+                np.mod(lvl.theta, 1.0) @ np.asarray(n, dtype=float)))))
+            for p, n in zip(pq[i, 6, 0].tolist(), ns[i, 6].tolist())
+        ])
+        gaps.append(engine._gaps(mul(u_word, v_word), engine._scaled(mul(v_word, u_word), phase)))
+    gaps = np.concatenate(gaps).tolist()
     rows = [
         _residual_row(
             "C11", 0,
@@ -644,12 +621,14 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
         if max(occ) <= 1
         for a_idx in range(n_atoms)
     ]
+    dense_parts = dense_pq[..., 0, :], dense_ns, dense_pq[..., 1, :], dense_coeffs
+    lefts, rights = (engine._batch(*(x[:, j] for x in dense_parts)) for j in (0, 1))
+    prods = engine._product(lefts, rights, params.theta)
     dense = []
-    for v, u, z in zip(dense_pq, dense_ns, dense_coeffs):
-        a, b = (_element(v[j], u[j], z[j], 1) for j in (0, 1))
+    for a, b, ab in zip(*(engine._unpack(x, 1, k) for x in (lefts, rights, prods))):
         mat_a = fock_element_matrix(a, params, kappa, box)
         mat_b = fock_element_matrix(b, params, kappa, box)
-        mat_ab = fock_element_matrix(multiply(a, b, params.theta), params, kappa, box)
+        mat_ab = fock_element_matrix(ab, params, kappa, box)
         diff = (mat_a @ mat_b - mat_ab)[:, safe_cols]
         dense += np.abs(diff).ravel().tolist()
     rows.append(

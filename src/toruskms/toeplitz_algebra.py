@@ -13,15 +13,15 @@ single word with an explicit phase:
       = e^(2 pi i [ (j-q).theta n + (j-p').theta n' ]) V_(p+j-q) U_(n+n') V*_(q'+j-p')
 
 with j = q v p'.  Elements are dictionaries word -> coefficient kept in this
-normal form; coefficients with modulus below 1e-15 are pruned.  Words hold
-tuples of Python ints and cache their hash, and the engine works on them in
-plain Python: the words it builds skip the public constructor's checks,
-theta is reduced mod 1 by float % once per call (the bits of np.mod), theta.n
-is summed once per word, and each pair's phase is a float sum of
-integer-times-float products under one cmath.exp.  These round every product
-where a BLAS dot may fuse multiply-adds (and Python 3.12 and later compensate
-the sum), so at k >= 2 a phase may differ from numpy's in the last bit; at
-k = 1 each dot is one product.
+normal form; coefficients of modulus below 1e-15 are pruned, NaN is kept.  The
+engine holds B elements as (B, T, 2k + d) int64 words laid out [p | n | q],
+(B, T) complex coefficients and a (B, T) mask of live slots; its kernels form B
+products, adjoints or dynamics in one call and add like words into their first
+live slot.  They give the bits of the per-pair Python arithmetic they replaced
+by five rules: complex products as separate real operations (numpy's complex
+multiply may fuse multiply-adds); moduli by np.hypot; merge sums added left to
+right in slot order; dot products summed left to right over columns, never by
+@ or einsum; and np.exp of the complex exponent that cmath.exp took.
 
 The gauge dynamics acts diagonally, alpha_t(V_p U_n V*_q) =
 e^(i t (p-q).r) V_p U_n V*_q, for real or complex t.  Given a measure nu on
@@ -35,11 +35,11 @@ identically for this functional whatever nu is.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
-from operator import add, mul, neg, sub
+from functools import reduce
+from itertools import islice, repeat
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -191,21 +191,119 @@ class AlgebraElement:
         return f"AlgebraElement({body})"
 
 
-def _theta_dots(theta, words):
-    """theta mod 1 dotted with each word's n; ValueError unless theta is k x d for all."""
-    # every phase exponent pairs theta with integer vectors on both sides, so
-    # shifting entries by integers never changes a coefficient; reducing mod 1
-    # keeps the exponents O(1) and the rounding error off the phases
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if theta.ndim != 2:
-        raise ValueError(f"theta must be a k x d matrix, got shape {theta.shape}")
-    (k, d), rows = theta.shape, [[x % 1.0 for x in row] for row in theta.tolist()]
-    out = []
-    for w in words:
-        if len(w.p) != k or len(w.n) != d:
-            raise ValueError(f"theta is {k} x {d} but {w} has k = {len(w.p)}, d = {len(w.n)}")
-        out.append(tuple([sum(map(mul, row, w.n)) for row in rows]))
-    return out
+def _cmul(a, b):
+    """The complex array a b, in separate real operations as CPython forms a complex product."""
+    re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return np.stack(np.broadcast_arrays(re, im), -1).view(complex)[..., 0]
+
+
+def _dot(x, y):
+    """sum_j x[..., j] y[..., j], added left to right from 0.0 as Python's sum adds."""
+    return reduce(lambda total, j: total + x[..., j] * y[..., j], range(x.shape[-1]), 0.0)
+
+
+def _split(w, k):
+    """The p, n and q parts of words laid out [p | n | q]."""
+    return w[..., :k], w[..., k:w.shape[-1] - k], w[..., w.shape[-1] - k:]
+
+
+def _pack(elements, k, d):
+    """The batch of elements; ValueError unless every word is k x d (None: as the first word's)."""
+    words = [w for e in elements for w in e.terms]
+    k = len(words[0].p) if k is None and words else k or 0
+    d = len(words[0].n) if d is None and words else d or 0
+    if any(len(w.p) != k or len(w.n) != d for w in words):
+        raise ValueError(f"every word must have k = {k} and d = {d}")
+    rows = [w.p + w.n + w.q for w in words]
+    if any(abs(v) >= 2**62 for row in rows for v in row):  # so that no int64 sum can wrap
+        raise ValueError("word exponents must be below 2**62 in modulus")
+    counts = np.array([len(e.terms) for e in elements])
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    w, c = np.zeros((*live.shape, 2 * k + d), np.int64), np.zeros(live.shape, complex)
+    w[live] = np.array(rows, np.int64).reshape(len(words), 2 * k + d)
+    c[live] = [z for e in elements for z in e.terms.values()]
+    return w, c, live
+
+
+def _unpack(x, level, k):
+    """The elements of a batch at level, with their terms in slot order."""
+    w, c, live = x
+    parts = (map(tuple, part[live].tolist()) for part in _split(w, k))
+    terms = zip(map(Word._built, *parts, repeat(level)), c[live].tolist())
+    return [AlgebraElement(level, dict(islice(terms, n))) for n in live.sum(1).tolist()]
+
+
+def _batch(p, n, q, coeffs):
+    """The batch of elements sum_t coeffs[b, t] V_p[b, t] U_n[b, t] V*_q[b, t], like words added."""
+    words = np.concatenate((p, n, q), -1)
+    return _pruned(_merge((words, coeffs, np.ones(coeffs.shape, bool))))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _merge(x):
+    """Each like word's coefficients added into its first live slot, left to right in slot order."""
+    w, c, live = x
+    b, s = np.nonzero(live)
+    rows = w[b, s]
+    order = np.lexsort((*rows.T[::-1], b))  # stable: each word's slots stay in slot order
+    b, s, rows = b[order], s[order], rows[order]
+    new = np.ones(len(b), bool)
+    new[1:] = (b[1:] != b[:-1]) | (rows[1:] != rows[:-1]).any(1)
+    group, first = np.cumsum(new) - 1, np.flatnonzero(new)
+    rank, vals, sums = np.arange(len(b)) - first[group], c[b, s], np.zeros(len(first), complex)
+    for r in range(rank.max(initial=-1) + 1):
+        sums[group[rank == r]] += vals[rank == r]
+    out_c, out_live = np.zeros_like(c), np.zeros_like(live)
+    out_c[b[first], s[first]], out_live[b[first], s[first]] = sums, True
+    return w, out_c, out_live
+
+
+def _gaps(x, y):
+    """|x[b] - y[b]| coefficient by coefficient over the words of both; NaN where a part is NaN."""
+    _, c, live = _merge([np.concatenate(pair, 1) for pair in zip(x, (y[0], -y[1], y[2]))])
+    c = c[live]
+    return np.where(np.isnan(c), np.nan, np.hypot(c.real, c.imag))
+
+
+def _pruned(x):
+    """The batch without its terms of modulus below 1e-15; a NaN coefficient is kept."""
+    w, c, live = x
+    return w, c, live & (np.isnan(c) | ~(np.hypot(c.real, c.imag) < PRUNE_TOL))
+
+
+def _scaled(x, z):
+    """The batch with element b times the scalar z[b], pruned."""
+    return _pruned((x[0], _cmul(z[:, None], x[1]), x[2]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _product(x, y, theta):
+    """The products x[b] y[b] in normal form, for a k x d theta or (B, k, d) thetas theta[b]."""
+    (wx, cx, lx), (wy, cy, ly), k = x, y, theta.shape[-2]
+    (p1, n1, q1), (p2, n2, q2) = _split(wx[:, :, None], k), _split(wy[:, None], k)
+    # theta meets integer vectors on both sides, so mod 1 moves no phase and keeps them O(1)
+    theta = np.mod(theta, 1.0)[..., None, None, :, :]
+    join = np.maximum(q1, p2)
+    up, down = join - q1, join - p2
+    phase = _dot(up, _dot(theta, n1[..., None, :])) + _dot(down, _dot(theta, n2[..., None, :]))
+    coeffs = _cmul(_cmul(cx[:, :, None], cy[:, None]), np.exp(_cmul(TWO_PI_I, phase)))
+    words = np.concatenate((p1 + up, n1 + n2, q2 + down), -1)
+    flat = lambda a: a.reshape(*a.shape[:1], -1, *a.shape[3:])
+    return _pruned(_merge((flat(words), flat(coeffs), flat(lx[:, :, None] & ly[:, None]))))
+
+
+def _adjoint(x, k):
+    """The adjoints: V_q U_(-n) V*_p with the conjugate coefficient, word by word."""
+    p, n, q = _split(x[0], k)
+    return np.concatenate((q, -n, p), -1), x[1].conj(), x[2]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _dynamics(x, t, r):
+    """alpha_t of each element (or of element b with t[b], r[b]): words times e^(i t (p-q).r)."""
+    p, _, q = _split(x[0], r.shape[-1])
+    twist = np.exp(_cmul(_cmul(1j, np.asarray(t)[..., None]), _dot(p - q, r[..., None, :])))
+    return _pruned((x[0], _cmul(x[1], twist), x[2]))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
@@ -214,32 +312,22 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
     theta is the level's k x d rotation matrix; each pair of words collapses
     to a single word via the join relation, with phase
     e^(2 pi i [(j - q).theta n + (j - p').theta n']) where j = q v p'.
-    Raises ValueError unless theta is k x d for every word of a and b.
+    Raises ValueError unless theta is k x d for every word of a and b, and
+    unless every word entry is below 2**62 in modulus.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level} differ")
-    tn = _theta_dots(theta, [*a.terms, *b.terms])
-    left = [(w.p, w.n, w.q, c, t) for (w, c), t in zip(a.terms.items(), tn)]
-    right = [(w.p, w.n, w.q, c, t) for (w, c), t in zip(b.terms.items(), tn[len(left):])]
-    out: Dict[Word, complex] = {}
-    for p1, n1, q1, c1, tn1 in left:
-        for p2, n2, q2, c2, tn2 in right:
-            j = tuple(map(max, q1, p2))
-            up, down = tuple(map(sub, j, q1)), tuple(map(sub, j, p2))
-            p, n = tuple(map(add, p1, up)), tuple(map(add, n1, n2))
-            word = Word._built(p, n, tuple(map(add, q2, down)), a.level)
-            phase = sum(map(mul, up, tn1)) + sum(map(mul, down, tn2))
-            out[word] = out.get(word, 0j) + c1 * c2 * cmath.exp(TWO_PI_I * phase)
-    return AlgebraElement(a.level, out)
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if theta.ndim != 2:
+        raise ValueError(f"theta must be a k x d matrix, got shape {theta.shape}")
+    k, d = theta.shape
+    return _unpack(_product(_pack([a], k, d), _pack([b], k, d), theta), a.level, k)[0]
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: (V_p U_n V*_q)* = V_q U_(-n) V*_p with conjugated coefficients."""
-    out = {
-        Word._built(w.q, tuple(map(neg, w.n)), w.p, w.level): c.conjugate()
-        for w, c in a.terms.items()
-    }
-    return AlgebraElement(a.level, out)
+    k = len(next(iter(a.terms)).p) if a.terms else 0
+    return _unpack(_adjoint(_pack([a], k, None), k), a.level, k)[0]
 
 
 def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
@@ -251,22 +339,7 @@ def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.ndim != 1:
         raise ValueError(f"r must be a vector, got shape {r.shape}")
-    r, it = r.tolist(), 1j * complex(t)
-    out = {}
-    for w, c in a.terms.items():
-        if len(w.p) != len(r):
-            raise ValueError(f"r has length {len(r)} but {w} has k = {len(w.p)}")
-        out[w] = c * _exp(it * sum(map(mul, map(sub, w.p, w.q), r)))
-    return AlgebraElement(a.level, out)
-
-
-def _exp(z: complex) -> complex:
-    """cmath.exp, except that a too large real part overflows to infinity as in numpy, silently."""
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            return complex(np.exp(z))
+    return _unpack(_dynamics(_pack([a], len(r), None), complex(t), r), a.level, len(r))[0]
 
 
 def state_eval(
@@ -305,10 +378,18 @@ def kms_residual(
     Zero (up to rounding) for every nu, because the equilibrium functional's
     diagonal form makes the twisted trace property an algebraic identity.
     """
-    phi_ab = state_eval(nu, params, multiply(a, b, params.theta), check_state=False)
-    twisted = multiply(b, apply_dynamics(a, 1j * params.beta, params.r), params.theta)
-    phi_ba = state_eval(nu, params, twisted, check_state=False)
-    return abs(phi_ab - phi_ba)
+    if a.level != b.level:
+        raise LevelMismatch(f"levels {a.level} and {b.level} differ")
+    k, d = params.theta.shape
+    return _kms_residuals([nu], params, _pack([a], k, d), _pack([b], k, d), a.level)[0]
+
+
+def _kms_residuals(states, params, a, b, level):
+    """kms_residual of each pair a[i], b[i] of two batches at level, with the state states[i]."""
+    k, twist = params.theta.shape[0], _dynamics(a, 1j * params.beta, params.r)
+    ab, twisted = (_unpack(_product(x, y, params.theta), level, k) for x, y in ((a, b), (b, twist)))
+    phi = lambda nu, x: state_eval(nu, params, x, check_state=False)
+    return [abs(phi(nu, x) - phi(nu, y)) for nu, x, y in zip(states, ab, twisted)]
 
 
 _WORD_RE = re.compile(

@@ -59,8 +59,9 @@ class SingularMatrix(Exception):
 
 
 def reduce_mod_1(x):
-    """Reduce a point of R^d to the fundamental domain [0, 1)^d."""
-    return np.mod(np.asarray(x, dtype=float), 1.0)
+    """Reduce a point of R^d to [0, 1)^d; an infinity becomes NaN silently, callers reject it."""
+    with np.errstate(invalid="ignore"):
+        return np.mod(np.asarray(x, dtype=float), 1.0)
 
 
 def _index_vector(n, d):

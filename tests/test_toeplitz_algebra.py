@@ -433,3 +433,27 @@ def test_overflow_to_nan_coefficient_is_kept_and_measured_as_nan():
     assert all(np.isnan(c) for c in twisted.terms.values())
     assert np.isnan(twisted.sup_coefficient_distance(a))
     assert np.isnan(a.sup_coefficient_distance(twisted))
+
+
+@pytest.mark.parametrize("entry", [2**62, 2**70, -(2**62), -(2**70)])
+def test_exponents_at_2_62_or_beyond_raise_value_error(entry):
+    # the engine works in int64, so it refuses an entry that a sum could wrap,
+    # rather than wrapping silently or letting an OverflowError escape
+    one = tk.AlgebraElement.from_word(tk.Word(p=(1,), n=(1,), q=(0,), level=1))
+    words = [tk.Word(p=(0,), n=(entry,), q=(0,), level=1)]
+    if entry > 0:
+        words += [tk.Word(p=(entry,), n=(0,), q=(0,), level=1),
+                  tk.Word(p=(0,), n=(0,), q=(entry,), level=1)]
+    for word in words:
+        a = tk.AlgebraElement.from_word(word)
+        for call in (lambda: tk.multiply(a, one, [[0.3]]), lambda: tk.multiply(one, a, [[0.3]]),
+                     lambda: tk.adjoint(a), lambda: tk.apply_dynamics(a, 0.5, [1.0])):
+            with pytest.raises(ValueError, match="2\\*\\*62"):
+                call()
+
+
+def test_exponents_just_below_2_62_multiply_exactly():
+    a = tk.AlgebraElement.from_word(tk.Word(p=(2**62 - 1,), n=(1 - 2**62,), q=(0,), level=1))
+    one = tk.AlgebraElement.from_word(tk.Word(p=(1,), n=(1,), q=(0,), level=1))
+    assert list(tk.multiply(a, one, [[0.0]]).terms) == [
+        tk.Word(p=(2**62,), n=(2 - 2**62,), q=(0,), level=1)]

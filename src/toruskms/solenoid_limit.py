@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,11 +135,10 @@ def embed_word(w: Word, scenario: Scenario) -> Word:
     m = w.level
     if m >= scenario.depth:
         raise TopLevel(f"level {m} word cannot embed beyond depth {scenario.depth}")
-    lvl = scenario.level(m)
-    p = lvl.D * np.asarray(w.p, dtype=np.int64)
-    q = lvl.D * np.asarray(w.q, dtype=np.int64)
-    n = lvl.E @ np.asarray(w.n, dtype=np.int64)
-    return Word(p=p, n=n, q=q, level=m + 1)
+    # in Python ints, so that Word rejects an entry at 2**62 instead of int64 wrapping it
+    D, E = scenario.level(m).D.tolist(), scenario.level(m).E.tolist()
+    p, q = (tuple(map(mul, D, v)) for v in (w.p, w.q))
+    return Word(p=p, n=tuple(sum(map(mul, row, w.n)) for row in E), q=q, level=m + 1)
 
 
 def _canonical_point_lift(y1, scenario: Scenario) -> List[np.ndarray]:
@@ -217,18 +217,9 @@ def thread_from_json(obj: dict, scenario: Scenario) -> SolenoidMeasureThread:
     """Load a thread from parsed {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('thread JSON must be an object with a "kind" field')
-    kind = obj["kind"]
-    if kind == "uniform":
-        return build_thread(scenario, kind="uniform")
-    if kind == "point":
-        if "points" in obj and obj["points"] is not None:
-            return build_thread(scenario, kind="point", points=obj["points"])
-        return build_thread(scenario, kind="point", y1=obj["y1"])
-    if kind == "toplevel":
-        return build_thread(
-            scenario, kind="toplevel", toplevel=atomic_from_json(obj["toplevel_measure"])
-        )
-    raise ValueError(f"unknown thread kind {kind!r}")
+    top = obj.get("toplevel_measure") if obj["kind"] == "toplevel" else None
+    return build_thread(scenario, kind=obj["kind"], y1=obj.get("y1"), points=obj.get("points"),
+                        toplevel=None if top is None else atomic_from_json(top))
 
 
 def validate_thread(thread: SolenoidMeasureThread) -> List[str]:

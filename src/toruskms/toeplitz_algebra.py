@@ -1,7 +1,8 @@
 """Finite linear combinations of spanning words V_p U_n V*_q and their calculus.
 
 A word is a triple (p, n, q) with p, q in N^k and n in Z^d, tagged with the
-level it lives at.  The defining relations are
+level it lives at; every entry is below 2**62 in modulus, so that the int64
+kernels below add two entries without wrapping.  The defining relations are
 
     U_n V_p = e^(2 pi i p.theta n) V_p U_n        (rotation relation),
     V*_p V_q = V_(j-p) V*_(j-q),  j = p v q       (join relation),
@@ -85,7 +86,7 @@ def _int_tuple(values, what: str) -> Tuple[int, ...]:
 
 @dataclass(frozen=True, init=False)
 class Word:
-    """Spanning word V_p U_n V*_q at a level; p, q in N^k, n in Z^d."""
+    """Spanning word V_p U_n V*_q at a level; p, q in N^k, n in Z^d, entries below 2**62."""
 
     p: Tuple[int, ...]
     n: Tuple[int, ...]
@@ -103,21 +104,13 @@ class Word:
             raise ValueError("p and q must have the same length")
         if level < 1:
             raise ValueError("levels are 1-based")
-        # the instance is frozen: its fields and cached hash are written once
-        self.__dict__.update(p=p, n=n, q=q, level=level, _hash=hash((p, n, q, level)))
-
-    @classmethod
-    def _built(cls, p, n, q, level):
-        """A word whose fields come from checked words: tuples of ints, p and q >= 0; no checks."""
-        word = object.__new__(cls)
-        word.__dict__.update(p=p, n=n, q=q, level=level, _hash=hash((p, n, q, level)))
-        return word
-
-    def __hash__(self):
-        return self._hash
+        if max(map(abs, (0, *p, *n, *q))) >= 2**62:  # so that no int64 sum of two can wrap
+            raise ValueError("word exponents must be below 2**62 in modulus")
+        # the instance is frozen: its fields are written once
+        self.__dict__.update(p=p, n=n, q=q, level=level)
 
     def __setstate__(self, state):
-        # copies and pickles (older ones hold no hash) rebuild the word through the checks
+        # copies and pickles (older ones also hold a cached hash) go through the checks
         self.__init__(state["p"], state["n"], state["q"], state["level"])
 
     def __str__(self):
@@ -130,9 +123,8 @@ class AlgebraElement:
 
     Terms with |coefficient| < 1e-15 are pruned on construction, so the zero
     element has no terms; a NaN coefficient is kept, never taken for zero.
-    Elements are immutable; arithmetic returns new instances.  Addition and
-    scalar multiplication are provided as operators, while the word product
-    lives in ``multiply`` because it needs theta.
+    Elements are immutable: ``multiply``, ``adjoint`` and ``apply_dynamics``
+    return new instances.
     """
 
     __slots__ = ("level", "terms")
@@ -158,31 +150,13 @@ class AlgebraElement:
         """Terms in a deterministic order (lexicographic in (p, n, q))."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0].p, kv[0].n, kv[0].q))
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.level != other.level:
-            raise LevelMismatch("cannot add elements at different levels")
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, 0j) + coeff
-        return AlgebraElement(self.level, merged)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        scalar = complex(scalar)
-        return AlgebraElement(self.level, {w: scalar * c for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def coefficient(self, word: Word) -> complex:
-        return self.terms.get(word, 0j)
-
     def sup_coefficient_distance(self, other: "AlgebraElement") -> float:
-        """Largest |coefficient difference| over the words of both; NaN if any is NaN."""
-        keys = self.terms.keys() | other.terms
-        gaps = [self.terms.get(w, 0j) - other.terms.get(w, 0j) for w in keys]
-        return max(map(abs, gaps), default=0.0) if all(g == g for g in gaps) else math.nan
+        """Largest |coefficient difference| over the words of both, 0 if none; NaN if any is NaN."""
+        if self.level != other.level:
+            raise LevelMismatch(f"levels {self.level} and {other.level} differ")
+        both = _pack([self, other], None, None)
+        one, two = (tuple(part[i:i + 1] for part in both) for i in (0, 1))
+        return float(_gaps(one, two).max(initial=0.0))
 
     def __repr__(self):
         if not self.terms:
@@ -215,8 +189,6 @@ def _pack(elements, k, d):
     if any(len(w.p) != k or len(w.n) != d for w in words):
         raise ValueError(f"every word must have k = {k} and d = {d}")
     rows = [w.p + w.n + w.q for w in words]
-    if any(abs(v) >= 2**62 for row in rows for v in row):  # so that no int64 sum can wrap
-        raise ValueError("word exponents must be below 2**62 in modulus")
     counts = np.array([len(e.terms) for e in elements])
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     w, c = np.zeros((*live.shape, 2 * k + d), np.int64), np.zeros(live.shape, complex)
@@ -226,10 +198,10 @@ def _pack(elements, k, d):
 
 
 def _unpack(x, level, k):
-    """The elements of a batch at level, with their terms in slot order."""
+    """The elements of a batch at level, with their terms in slot order; ValueError at 2**62."""
     w, c, live = x
     parts = (map(tuple, part[live].tolist()) for part in _split(w, k))
-    terms = zip(map(Word._built, *parts, repeat(level)), c[live].tolist())
+    terms = zip(map(Word, *parts, repeat(level)), c[live].tolist())
     return [AlgebraElement(level, dict(islice(terms, n))) for n in live.sum(1).tolist()]
 
 
@@ -249,10 +221,8 @@ def _merge(x):
     b, s, rows = b[order], s[order], rows[order]
     new = np.ones(len(b), bool)
     new[1:] = (b[1:] != b[:-1]) | (rows[1:] != rows[:-1]).any(1)
-    group, first = np.cumsum(new) - 1, np.flatnonzero(new)
-    rank, vals, sums = np.arange(len(b)) - first[group], c[b, s], np.zeros(len(first), complex)
-    for r in range(rank.max(initial=-1) + 1):
-        sums[group[rank == r]] += vals[rank == r]
+    first, sums = np.flatnonzero(new), np.zeros(new.sum(), complex)
+    np.add.at(sums, np.cumsum(new) - 1, c[b, s])  # unbuffered: in index order, so slot order
     out_c, out_live = np.zeros_like(c), np.zeros_like(live)
     out_c[b[first], s[first]], out_live[b[first], s[first]] = sums, True
     return w, out_c, out_live
@@ -313,7 +283,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
     to a single word via the join relation, with phase
     e^(2 pi i [(j - q).theta n + (j - p').theta n']) where j = q v p'.
     Raises ValueError unless theta is k x d for every word of a and b, and
-    unless every word entry is below 2**62 in modulus.
+    when a product's word has an entry of 2**62 or more in modulus.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level} differ")

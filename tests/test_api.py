@@ -10,6 +10,10 @@ default of a public callable (a function, a class's constructor, or a public
 method or classmethod of a public class), and every ``SuiteConfig`` field.  A
 setting only the tests set is a constant of the module instead, so a new
 keyword shows here as a one-line diff, as a new name does in ``PUBLIC``.
+
+``METHODS`` freezes the methods written in the bodies of ``Word`` and
+``AlgebraElement`` (not those a dataclass generates), so that an added or
+deleted method, operator included, shows the same way.
 """
 
 from __future__ import annotations
@@ -80,6 +84,17 @@ SETTINGS = [
 
 SUITE_CONFIG_FIELDS = ["samples", "s_samples", "moment_box", "seed"]
 
+METHODS = {
+    "Word": ["__init__", "__setstate__", "__str__"],
+    "AlgebraElement": ["__init__", "__repr__", "from_word", "sorted_terms",
+                       "sup_coefficient_distance"],
+}
+
+DELETED_METHODS = {
+    "Word": ["_built"],
+    "AlgebraElement": ["__add__", "__mul__", "__rmul__", "__sub__", "coefficient"],
+}
+
 MODULES = (torus_measure, scenario, subinvariance, toeplitz_algebra, solenoid_limit, oracle,
            suites)
 
@@ -135,3 +150,19 @@ def test_settings_are_the_frozen_list():
     ]
     assert sorted(found) == SETTINGS
     assert [field.name for field in dataclasses.fields(tk.SuiteConfig)] == SUITE_CONFIG_FIELDS
+
+
+def _written_methods(cls):
+    """The functions defined in the class body, by the file their code comes from."""
+    for name, member in vars(cls).items():
+        fn = getattr(member, "__func__", member)
+        if inspect.isfunction(fn) and fn.__code__.co_filename == inspect.getfile(cls):
+            yield name
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_engine_methods_are_the_frozen_lists(name):
+    cls = getattr(tk, name)
+    assert sorted(_written_methods(cls)) == METHODS[name]
+    for method in DELETED_METHODS[name]:
+        assert not hasattr(cls, method), method

@@ -87,6 +87,26 @@ def test_parse_errors_exit_two(line_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("word", [
+    "V[1] U[99999999999999999999] V*[1] @ 1",
+    "V[100000000000000000000] U[0] V*[100000000000000000000] @ 1",
+])
+def test_state_of_a_word_beyond_int64_exits_two_with_one_line(line_files, capsys, word):
+    _root, scenario, thread = line_files
+    code = main(["state", "--scenario", str(scenario), "--thread", str(thread), "--word", word])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad word") and err.count("\n") == 1
+
+
+def test_point_thread_without_points_or_y1_exits_two(line_files, tmp_path, capsys):
+    _root, scenario, _thread = line_files
+    thread = tmp_path / "pointless.json"
+    thread.write_text(json.dumps({"kind": "point"}))
+    assert main(["validate", "--scenario", str(scenario), "--thread", str(thread)]) == 2
+    assert "needs either points or y1" in capsys.readouterr().err
+
+
 def test_state_value_and_oracle(line_files, capsys):
     _root, scenario, thread = line_files
     code = main(

@@ -22,6 +22,7 @@ multiply-add changes the bits.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import reduce
 from operator import add, mul, neg, sub
 from typing import Dict
@@ -66,7 +67,7 @@ def ref_multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
             j = tuple(map(max, q1, p2))
             up, down = tuple(map(sub, j, q1)), tuple(map(sub, j, p2))
             p, n = tuple(map(add, p1, up)), tuple(map(add, n1, n2))
-            word = Word._built(p, n, tuple(map(add, q2, down)), a.level)
+            word = Word(p, n, tuple(map(add, q2, down)), a.level)
             phase = _total(map(mul, up, tn1)) + _total(map(mul, down, tn2))
             out[word] = out.get(word, 0j) + c1 * c2 * cmath.exp(TWO_PI_I * phase)
     return AlgebraElement(a.level, out)
@@ -74,7 +75,7 @@ def ref_multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
 
 def ref_adjoint(a: AlgebraElement) -> AlgebraElement:
     out = {
-        Word._built(w.q, tuple(map(neg, w.n)), w.p, w.level): c.conjugate()
+        Word(w.q, tuple(map(neg, w.n)), w.p, w.level): c.conjugate()
         for w, c in a.terms.items()
     }
     return AlgebraElement(a.level, out)
@@ -98,6 +99,13 @@ def _exp(z: complex) -> complex:
     except OverflowError:
         with np.errstate(over="ignore"):
             return complex(np.exp(z))
+
+
+def ref_distance(a: AlgebraElement, b: AlgebraElement) -> float:
+    """sup_coefficient_distance as a dict walk: the largest |a - b| over words; NaN if any is."""
+    keys = a.terms.keys() | b.terms
+    gaps = [a.terms.get(w, 0j) - b.terms.get(w, 0j) for w in keys]
+    return max(map(abs, gaps), default=0.0) if all(g == g for g in gaps) else math.nan
 
 
 def _bits(element):
@@ -149,6 +157,25 @@ def test_engine_matches_per_pair_reference(case):
     assert _bits(tk.multiply(b, a, theta)) == _bits(ref_multiply(b, a, theta))
     assert _bits(tk.adjoint(a)) == _bits(ref_adjoint(a))
     assert _bits(tk.apply_dynamics(a, t, r)) == _bits(ref_apply_dynamics(a, t, r))
+
+
+# elements of up to 4 of 12 words, with coefficients from a pool that holds
+# NaNs and an infinity: the distance meets words of both, of one only, equal
+# coefficients, and a NaN or inf - inf on either side
+_WORDS = [Word((p,), (n,), (q,), 1) for p in (0, 1) for n in (-1, 0, 1) for q in (0, 1)]
+_SMALL = st.lists(st.tuples(
+    st.sampled_from(_WORDS),
+    st.sampled_from([0.5, -2.0, 1j, 1.25 + 3j, -1.5 - 0.75j, 3e-3, complex("nan"),
+                     complex(1.0, float("nan")), complex("inf"), complex("inf+nanj")]),
+), max_size=4).map(lambda terms: AlgebraElement(1, dict(terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_SMALL, b=_SMALL)
+def test_distance_matches_the_dict_reference(a, b):
+    # the distance is the merge kernel's, on B = 1; a and b may hold NaN or no term
+    for x, y in ((a, b), (b, a)):
+        assert x.sup_coefficient_distance(y).hex() == ref_distance(x, y).hex()
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,7 @@ planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 | normalization constant c_m dropped or doubled   | C12                |
 | c_m taken from the next level                   | C07, C12           |
 | dynamics kernel ``_dynamics`` with t negated    | C05                |
-| the join as a min in the product kernel         | stops C11          |
+| the join as a min in the product kernel         | stops C11 (Word)   |
 
 The word engine is one set of array kernels in ``toeplitz_algebra``:
 ``multiply``, ``adjoint`` and ``apply_dynamics`` are their one-element case,
@@ -28,9 +28,9 @@ and C05 and C11 call the kernels on whole batches, so the mutants patch the
 kernels.  C05 catches the reversed dynamics at 10 word pairs per level
 because it draws each b with q_b - p_b = p_a - q_a: ab has gauge degree 0,
 so phi(ab) need not vanish.  The product kernel with its join as a min
-builds words with negative exponents; engine words skip the public
-constructor's checks, so the dense operator check of C11 stops on an
-IndexError (``report`` exits 1), or a row fails.
+builds words with negative exponents; every engine word passes ``Word``'s
+checks, so C11's dense operator check stops on the ``ValueError`` for a
+negative q (``report`` exits 1), or a row fails.
 
 The geometric pair and both defect measures share ``_step_factors``, so its
 conjugated phase reaches four checks: C04 through the continuous defect, C06
@@ -216,6 +216,7 @@ def test_min_join_fails_a_row_or_stops_the_report(tower, monkeypatch):
     _patch(monkeypatch, toeplitz_algebra, "_product", _product_min_join())
     try:
         rows = tk.run_checks(tk.SUITES["all"], scenario, thread, CFG)
-    except IndexError:  # uncaught by `report`, whose process then exits 1
+    except ValueError as exc:  # uncaught by `report`, whose process then exits 1
+        assert "nonnegative" in str(exc)
         return
     assert not tk.overall_pass(rows)

@@ -23,6 +23,32 @@ def test_embed_word_scales_exponents(line_scenario):
         tk.embed_word(tk.Word(p=(0,), n=(0,), q=(0,), level=4), line_scenario)
 
 
+def test_embed_word_rejects_an_image_at_2_62_instead_of_wrapping():
+    # d = k = 1 with D = E = 5: 5 n is 18446744073709551620, which int64 wraps to 4
+    levels = tk.derive_levels([[0.3]], [1.0], [[5], [5]], [[[5]], [[5]]])
+    scenario = tk.Scenario(dims=tk.Dimensions(d=1, k=1), beta=1.0, levels=levels)
+    assert tk.validate_scenario(scenario) == []
+    n = 3689348814741910324
+    assert tk.embed_word(tk.Word((0,), (n // 8,), (0,), 1), scenario).n == (5 * (n // 8),)
+    for w in (tk.Word((0,), (n,), (0,), 1), tk.Word((n,), (0,), (n,), 1)):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            tk.embed_word(w, scenario)
+    thread = tk.build_thread(scenario, kind="point", y1=[0.1])
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        tk.consistency_residual(thread, tk.Word((0,), (n,), (0,), 1))
+
+
+def test_point_thread_json_needs_points_or_y1(line_scenario):
+    with pytest.raises(ValueError, match="needs either points or y1"):
+        tk.thread_from_json({"kind": "point"}, line_scenario)
+    with pytest.raises(ValueError, match="unknown thread kind 'line'"):
+        tk.thread_from_json({"kind": "line", "toplevel_measure": "unparsed"}, line_scenario)
+    # points win over y1
+    thread = tk.thread_from_json({"kind": "point", "points": [[0.2], [0.1], [0.05], [0.025]],
+                                  "y1": [0.7]}, line_scenario)
+    assert thread.measure(1).moment([1]) == np.exp(2j * np.pi * 0.2)
+
+
 def _embed(a, scenario):
     """The level embedding of an element: embed_word mapped over its terms."""
     return tk.AlgebraElement(

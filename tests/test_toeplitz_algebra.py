@@ -62,7 +62,8 @@ def test_rotation_relation_phase():
     left = tk.multiply(u, v, theta)
     right = tk.multiply(v, u, theta)
     phase = np.exp(2j * np.pi * 3 * 0.37 * 2)
-    assert left.sup_coefficient_distance(phase * right) < 1e-12
+    rotated = tk.AlgebraElement(1, {w: phase * c for w, c in right.terms.items()})
+    assert left.sup_coefficient_distance(rotated) < 1e-12
 
 
 def test_multiply_requires_matching_levels():
@@ -119,7 +120,7 @@ def test_associativity_property(data, theta_seed):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_engine_built_words_equal_public_words(data):
-    # multiply and adjoint build words without the public constructor's checks
+    # multiply and adjoint build their words from int64 arrays, through Word's int-tuple path
     k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     exponents = lambda low, size: st.tuples(*[st.integers(low, 3)] * size)
     word = st.builds(tk.Word, exponents(0, k), exponents(-3, d), exponents(0, k), st.just(2))
@@ -162,7 +163,7 @@ def test_dynamics_group_law_and_kms_twist():
     twisted = tk.apply_dynamics(a, 1j * beta, r)
     gap = (2 - 0) * 0.8 + (0 - 1) * 1.3
     expected = (1.5 - 0.5j) * np.exp(-beta * gap)
-    assert abs(twisted.coefficient(w) - expected) < 1e-14
+    assert abs(twisted.terms[w] - expected) < 1e-14
 
 
 def test_dynamics_fixes_diagonal_words():
@@ -265,12 +266,9 @@ def test_gram_positivity_separates_states():
 
 def test_element_arithmetic_and_pruning():
     w = tk.Word(p=(1,), n=(0,), q=(0,), level=1)
-    a = tk.AlgebraElement.from_word(w, 1.0)
-    b = tk.AlgebraElement.from_word(w, -1.0)
-    zero = a + b
-    assert zero.sorted_terms() == []
-    scaled = 2.0 * a - a
-    assert abs(scaled.coefficient(w) - 1.0) < 1e-15
+    assert tk.AlgebraElement(1, {w: 1.0 + -1.0}).sorted_terms() == []
+    assert tk.AlgebraElement(1, {w: 9e-16j}).sorted_terms() == []
+    assert tk.AlgebraElement(1, {w: 2.0 - 1.0}).terms == {w: 1.0}
 
 
 def test_word_str_and_parse_round_trip():
@@ -335,11 +333,13 @@ def test_word_from_numpy_integers_equals_word_from_ints():
     integral_floats = tk.Word(p=(1.0, 0.0), n=(2.0, -3.0), q=(0.0, 4.0), level=2.0)
     for other in (arrays, scalars, integral_floats):
         assert other == ints and hash(other) == hash(ints)
+        assert {ints: 1.0}[other] == 1.0 and {other: 2.0}[ints] == 2.0
         assert all(type(v) is int for v in other.p + other.n + other.q + (other.level,))
 
 
 # Word(p=(1, 0), n=(3, -2), q=(0, 2), level=2) as pickled (protocols 4 and 2)
-# before words cached their hash: the state holds the four fields only.
+# before words cached their hash, whose state holds the four fields only, and
+# (protocol 4) while they cached it, whose state also holds "_hash".
 _OLD_WORD_PICKLES = (
     b"\x80\x04\x95Y\x00\x00\x00\x00\x00\x00\x00\x8c\x19toruskms.toeplitz_algebra\x94\x8c\x04"
     b"Word\x94\x93\x94)\x81\x94}\x94(\x8c\x01p\x94K\x01K\x00\x86\x94\x8c\x01n\x94K\x03J\xfe"
@@ -347,6 +347,10 @@ _OLD_WORD_PICKLES = (
     b"\x80\x02ctoruskms.toeplitz_algebra\nWord\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00pq"
     b"\x03K\x01K\x00\x86q\x04X\x01\x00\x00\x00nq\x05K\x03J\xfe\xff\xff\xff\x86q\x06X\x01"
     b"\x00\x00\x00qq\x07K\x00K\x02\x86q\x08X\x05\x00\x00\x00levelq\tK\x02ub.",
+    b"\x80\x04\x95k\x00\x00\x00\x00\x00\x00\x00\x8c\x19toruskms.toeplitz_algebra\x94\x8c\x04"
+    b"Word\x94\x93\x94)\x81\x94}\x94(\x8c\x01p\x94K\x01K\x00\x86\x94\x8c\x01n\x94K\x03J\xfe"
+    b"\xff\xff\xff\x86\x94\x8c\x01q\x94K\x00K\x02\x86\x94\x8c\x05level\x94K\x02\x8c\x05_hash"
+    b"\x94\x8a\x08\xfb\x8f\xd1\xee\xff\x84*\xd6ub.",
 )
 
 
@@ -358,6 +362,7 @@ def test_word_pickle_and_copy_keep_equality_and_hash():
     for other in copies:
         assert other == w and hash(other) == hash(w)
         assert {other: 1.0}[w] == 1.0
+        assert vars(other) == {"p": (1, 0), "n": (3, -2), "q": (0, 2), "level": 2}
 
 
 def test_multiply_rejects_theta_of_the_wrong_shape_for_any_word():
@@ -391,7 +396,7 @@ def test_apply_dynamics_overflows_to_infinity_instead_of_raising():
     a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(1,), q=(3,), level=1))
     with np.errstate(over="ignore"):
         twisted = tk.apply_dynamics(a, 1j * 1.0, [300.0])
-    assert not np.isfinite(twisted.coefficient(tk.Word(p=(0,), n=(1,), q=(3,), level=1)))
+    assert not np.isfinite(twisted.terms[tk.Word(p=(0,), n=(1,), q=(3,), level=1)])
 
 
 def test_overflowing_twist_keeps_its_values_and_warns_nothing():
@@ -437,23 +442,32 @@ def test_overflow_to_nan_coefficient_is_kept_and_measured_as_nan():
 
 @pytest.mark.parametrize("entry", [2**62, 2**70, -(2**62), -(2**70)])
 def test_exponents_at_2_62_or_beyond_raise_value_error(entry):
-    # the engine works in int64, so it refuses an entry that a sum could wrap,
-    # rather than wrapping silently or letting an OverflowError escape
-    one = tk.AlgebraElement.from_word(tk.Word(p=(1,), n=(1,), q=(0,), level=1))
-    words = [tk.Word(p=(0,), n=(entry,), q=(0,), level=1)]
+    # the engine works in int64, so no word holds an entry that a sum could wrap
+    fields = [dict(p=(0,), n=(entry,), q=(0,))]
     if entry > 0:
-        words += [tk.Word(p=(entry,), n=(0,), q=(0,), level=1),
-                  tk.Word(p=(0,), n=(0,), q=(entry,), level=1)]
-    for word in words:
-        a = tk.AlgebraElement.from_word(word)
-        for call in (lambda: tk.multiply(a, one, [[0.3]]), lambda: tk.multiply(one, a, [[0.3]]),
-                     lambda: tk.adjoint(a), lambda: tk.apply_dynamics(a, 0.5, [1.0])):
+        fields += [dict(p=(entry,), n=(0,), q=(0,)), dict(p=(0,), n=(0,), q=(entry,))]
+    for kind in (tuple, np.array):  # the int-tuple path and the converting path
+        for f in fields:
             with pytest.raises(ValueError, match="2\\*\\*62"):
-                call()
+                tk.Word(**{key: kind(v) for key, v in f.items()}, level=1)
 
 
-def test_exponents_just_below_2_62_multiply_exactly():
-    a = tk.AlgebraElement.from_word(tk.Word(p=(2**62 - 1,), n=(1 - 2**62,), q=(0,), level=1))
-    one = tk.AlgebraElement.from_word(tk.Word(p=(1,), n=(1,), q=(0,), level=1))
-    assert list(tk.multiply(a, one, [[0.0]]).terms) == [
-        tk.Word(p=(2**62,), n=(2 - 2**62,), q=(0,), level=1)]
+def test_exponents_just_below_2_62_construct():
+    top = 2**62 - 1
+    w = tk.Word(p=(top,), n=(-top, top), q=(top,), level=1)
+    assert (w.p, w.n, w.q) == ((top,), (-top, top), (top,))
+    assert tk.Word(p=np.array([top]), n=np.array([-top, top]), q=np.array([top]), level=1) == w
+
+
+def test_a_product_that_reaches_2_62_raises_and_never_wraps():
+    # each factor is a valid word; the product's p, n or q would reach 2**62
+    top = 2**62 - 1
+    pairs = [
+        ((top, 0, 0), (1, 0, 0)),  # V_top V_1 = V_(2**62)
+        ((0, 1 - 2**62, 0), (0, -1, 0)),  # U_(1-2**62) U_(-1) = U_(-2**62)
+        ((0, 0, 1), (0, 0, top)),  # V*_1 V*_top = V*_(2**62)
+    ]
+    for pair in pairs:
+        x, y = (tk.AlgebraElement.from_word(tk.Word((p,), (n,), (q,), 1)) for p, n, q in pair)
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            tk.multiply(x, y, np.zeros((1, 1)))

@@ -228,7 +228,10 @@ def _cmd_state(args) -> int:
         lines.append("NON-FINITE VALUE")
         code = 1
     if args.oracle:
-        oracle = psi_oracle(thread, word)
+        try:
+            oracle = psi_oracle(thread, word)
+        except ValueError as exc:  # a panel count above the quadrature's cap
+            raise InputError(f"no quadrature oracle for {word}: {exc}") from exc
         gap = abs(value - oracle)
         lines.append(f"oracle      = {oracle.real:.17g} {oracle.imag:+.17g}i")
         lines.append(f"|difference| = {gap:.3e} (tolerance {ORACLE_TOL:.3e})")

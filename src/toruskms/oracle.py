@@ -5,7 +5,9 @@ a route that shares no algebra with the closed form:
 
 * ``laplace_quadrature`` integrates the Laplace-weighted character integral
   over a truncated box with composite Gauss-Legendre panels, checking the
-  reciprocal-linear-factor multiplier of ``nu_from_mu``.
+  reciprocal-linear-factor multiplier of ``nu_from_mu``.  C01 integrates a
+  block's index box in one batch, grouped by panel count; the row -n takes
+  the exact conjugate of n's integral, since z(-n) = conj z(n).
 * ``psi_oracle`` is the quadrature route to a thread's state on one word,
   weight times c_m times ``laplace_quadrature``, checking ``psi_eval``.
 * ``fock_state_eval`` sums the diagonal expectation of a word over the
@@ -16,7 +18,7 @@ a route that shares no algebra with the closed form:
   weighted translations, checking that ``kappa_from_nu`` really inverts the
   resolvent sum within the complement tail weight.
 * ``bhs_reconciliation`` compares, in the d = k = 1 case, the resolvent
-  moment of a point mass against an independously parametrized density
+  moment of a point mass against an independently parametrized density
   formula: a wrapped exponential density on [0, 1) whose finite integral is
   evaluated analytically.  The two routes agree identically.
 * the dense Fock-matrix mode realizes words as matrices on the truncated
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Optional, Tuple
 
 import numpy as np
@@ -64,6 +67,9 @@ _TRUNC_EPS = 1e-13
 # Phase-plus-decay budget per Gauss-Legendre panel; 16 nodes resolve it to
 # well below 1e-15 relative.
 _PANEL_BUDGET = 6.0
+# A cap far above the ~1,100 panels of C01 and the towers (U[10**9] asks for
+# ~10**11), and the most nodes one np.exp call takes unless one row has more.
+_MAX_PANELS, _CHUNK_NODES = 2**16, 2**14
 
 
 class ThetaZero(Exception):
@@ -81,15 +87,49 @@ def _leggauss():
     return np.polynomial.legendre.leggauss(16)
 
 
-def _axis_integral(z: complex, width: float, panels: int) -> complex:
-    """integral of e^(z w) dw over [0, width] by composite 16-node Gauss-Legendre."""
+def _axis_integrals(z: np.ndarray, width: float, panels: int) -> list:
+    """integral of e^(z w) dw over [0, width] for each z, by composite 16-node Gauss-Legendre."""
     x, w = _leggauss()
     edges = np.linspace(0.0, width, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return complex(np.sum(weights * np.exp(z * pts)))
+    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    sums, rows = [], max(1, _CHUNK_NODES // len(pts))
+    for start in range(0, len(z), rows):  # each row summed over its own contiguous nodes
+        terms = z[start : start + rows, None] * pts
+        np.exp(terms, out=terms)
+        terms *= weights
+        sums += terms.sum(axis=1).tolist()
+    return sums
+
+
+def _laplace_batch(mu: TorusMeasure, params: BlockParams, N: np.ndarray) -> list:
+    """laplace_quadrature at each row of the (B, d) index array N, as a list."""
+    rows, leaders, source, flip = N.tolist(), {}, [], []
+    for n in rows:
+        key, neg = tuple(n), tuple([-v for v in n])
+        flip.append(key not in leaders and neg in leaders)
+        source.append(leaders[neg] if flip[-1] else leaders.setdefault(key, len(leaders)))
+    decay = params.beta * params.r
+    widths = np.log(1.0 / _TRUNC_EPS) / decay
+    z = np.empty((len(leaders), params.k), dtype=complex)
+    z.real, z.imag = -decay, TWO_PI * np.array([_theta_n(params, key) for key in leaders])
+    speed = np.hypot(decay, np.abs(z.imag))
+    groups = {}
+    for i, count in enumerate(np.ceil(widths * speed / _PANEL_BUDGET).max(axis=1).tolist()):
+        groups.setdefault(max(4.0, count), []).append(i)
+    if max(groups) > _MAX_PANELS:
+        raise ValueError(f"quadrature needs {max(groups):.0f} panels, above the cap {_MAX_PANELS}")
+    axes = {}
+    for count, group in groups.items():
+        zg = z.take(group, axis=0)
+        columns = [_axis_integrals(zg[:, j], widths[j], int(count)) for j in range(params.k)]
+        axes.update(zip(group, zip(*columns)))
+    return [  # the axes multiplied in turn from 1, as the per-index loop did
+        reduce(mul, [a.conjugate() if conj else a for a in axes[i]], 1.0 + 0j) * mu.moment(n)
+        for n, i, conj in zip(rows, source, flip)
+    ]
 
 
 def laplace_quadrature(mu: TorusMeasure, params: BlockParams, n) -> complex:
@@ -101,19 +141,16 @@ def laplace_quadrature(mu: TorusMeasure, params: BlockParams, n) -> complex:
     composite rules.  The window W_j = ln(1/_TRUNC_EPS) / (beta r_j) leaves a
     decay tail of 1e-13, and every axis shares max(4, ceil(max_j W_j
     hypot(beta r_j, 2 pi |(theta n)_j|) / _PANEL_BUDGET)) panels of 16 nodes,
-    which resolve the oscillation.  Agrees with the closed form of nu_from_mu
-    to the truncation tail (about 1e-12) plus quadrature error.
+    which resolve the oscillation; above _MAX_PANELS it raises ValueError
+    before any node is built.  Agrees with the closed form of nu_from_mu to
+    the truncation tail (about 1e-12) plus quadrature error.
+
+    This is the one-row case of the batch that C01 calls per block: rows with
+    one panel count share each axis's nodes, np.exp call and row-wise sum, and
+    a row whose negation came earlier takes the conjugates of that row's axis
+    integrals, bit for bit, as exp, sums and products commute with conjugation.
     """
-    t = _theta_n(params, n)
-    decay = params.beta * params.r
-    widths = np.log(1.0 / _TRUNC_EPS) / decay
-    speed = np.hypot(decay, TWO_PI * np.abs(t))
-    panels = int(max(4, np.max(np.ceil(widths * speed / _PANEL_BUDGET))))
-    value = 1.0 + 0j
-    for j in range(params.k):
-        z = complex(-params.beta * params.r[j], TWO_PI * t[j])
-        value *= _axis_integral(z, float(widths[j]), panels)
-    return value * mu.moment(n)
+    return _laplace_batch(mu, params, np.asarray(n)[None])[0]
 
 
 def psi_oracle(thread: SolenoidMeasureThread, w: Word) -> complex:

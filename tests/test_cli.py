@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_state_of_a_word_beyond_int64_exits_two_with_one_line(line_files, capsys
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: bad word") and err.count("\n") == 1
+
+
+def test_state_oracle_past_the_panel_cap_exits_two_without_allocating(capsys):
+    # U[10**9, 0] asks the quadrature rule for 85,083,083,327 panels per axis
+    word = "V[0,0] U[1000000000,0] V*[0,0] @ 1"
+    argv = ["state", "--scenario", str(SCENARIOS / "planar_tower.json"), "--word", word, "--oracle"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: no quadrature oracle") and err.count("\n") == 1
+    assert peak < 2**25
 
 
 def test_point_thread_without_points_or_y1_exits_two(line_files, tmp_path, capsys):

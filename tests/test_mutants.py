@@ -21,6 +21,7 @@ planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 | c_m taken from the next level                   | C07, C12           |
 | dynamics kernel ``_dynamics`` with t negated    | C05                |
 | the join as a min in the product kernel         | stops C11 (Word)   |
+| quadrature partner rows without the conjugate   | C01                |
 
 The word engine is one set of array kernels in ``toeplitz_algebra``:
 ``multiply``, ``adjoint`` and ``apply_dynamics`` are their one-element case,
@@ -31,6 +32,11 @@ so phi(ab) need not vanish.  The product kernel with its join as a min
 builds words with negative exponents; every engine word passes ``Word``'s
 checks, so C11's dense operator check stops on the ``ValueError`` for a
 negative q (``report`` exits 1), or a row fails.
+
+The quadrature oracle is mutated too: C01 integrates each of its blocks in
+one batch, where a row whose negation came earlier takes the conjugate of
+that row's integral.  Skipping the conjugate breaks every such row whose
+(theta n)_j is nonzero, on any tower, since C01 draws its own blocks.
 
 The geometric pair and both defect measures share ``_step_factors``, so its
 conjugated phase reaches four checks: C04 through the continuous defect, C06
@@ -62,7 +68,7 @@ import numpy as np
 import pytest
 
 import toruskms as tk
-from toruskms import solenoid_limit, subinvariance, suites, toeplitz_algebra
+from toruskms import oracle, solenoid_limit, subinvariance, suites, toeplitz_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 CFG = tk.SuiteConfig(samples=10, s_samples=5, moment_box=3)
@@ -156,6 +162,15 @@ def _product_min_join():
     return namespace["_product"]
 
 
+def _quadrature_without_conjugate():
+    """The batch quadrature recompiled from its source with the partner rows' conjugate skipped."""
+    source = inspect.getsource(oracle._laplace_batch)
+    assert source.count("a.conjugate() if conj else a") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("a.conjugate() if conj else a", "a"), namespace)
+    return namespace["_laplace_batch"]
+
+
 MUTANTS = {
     "state_eval_unweighted": (
         toeplitz_algebra, "state_eval", _state_without_weight, ("C06",)),
@@ -170,6 +185,8 @@ MUTANTS = {
     "c_m_of_next_level": (
         tk.SolenoidMeasureThread, "_state", _state_with_next_levels_c, ("C07", "C12")),
     "dynamics_reversed": (toeplitz_algebra, "_dynamics", _dynamics_reversed, ("C05",)),
+    "quadrature_partner_unconjugated": (
+        oracle, "_laplace_batch", _quadrature_without_conjugate(), ("C01",)),
 }
 
 

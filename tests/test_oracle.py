@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toruskms as tk
 from toruskms import oracle
@@ -46,6 +48,59 @@ def test_quadrature_doubling_converged(monkeypatch):
     two = tk.laplace_quadrature(mu, params, n)
     assert one != two  # the halved budget did double the panels
     assert abs(one - two) < 1e-10
+
+
+def _reference_axis_integral(z: complex, width: float, panels: int) -> complex:
+    x, w = oracle._leggauss()
+    edges = np.linspace(0.0, width, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * x[None, :]
+    weights = half[:, None] * w[None, :]
+    return complex(np.sum(weights * np.exp(z * pts)))
+
+
+def _reference_quadrature(mu, params, n) -> complex:
+    """The per-call quadrature the batch replaced, kept as its bit-for-bit reference."""
+    t = np.asarray(n, dtype=float) @ params.theta.T
+    decay = params.beta * params.r
+    widths = np.log(1.0 / oracle._TRUNC_EPS) / decay
+    speed = np.hypot(decay, oracle.TWO_PI * np.abs(t))
+    panels = int(max(4, np.max(np.ceil(widths * speed / oracle._PANEL_BUDGET))))
+    value = 1.0 + 0j
+    for j in range(params.k):
+        z = complex(-params.beta * params.r[j], oracle.TWO_PI * t[j])
+        value *= _reference_axis_integral(z, float(widths[j]), panels)
+    return value * mu.moment(n)
+
+
+def _bits(value) -> tuple:
+    return complex(value).real.hex(), complex(value).imag.hex()
+
+
+@st.composite
+def _quadrature_batches(draw):
+    """A block with some zero theta entries, a complex-weighted measure, and a
+    batch of rows with repeats, negations in either order and n = 0, unsorted."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(0.0, 1.5, size=(k, d)) * (rng.random((k, d)) < 0.8)
+    params = tk.BlockParams(theta=theta, r=rng.uniform(0.5, 2.0, size=k), beta=rng.uniform(0.5, 2.0))
+    mu = tk.AtomicMeasure(rng.random((3, d)), rng.normal(size=3) + 1j * rng.normal(size=3))
+    row = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rows += [[-v for v in r] for r in draw(st.lists(st.sampled_from(rows), max_size=4))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) + [[0] * d] * draw(st.integers(0, 2))
+    return mu, params, np.array(draw(st.permutations(rows)), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_quadrature_batches())
+def test_quadrature_batch_matches_the_per_call_reference_bit_for_bit(case):
+    mu, params, N = case
+    expected = [_bits(_reference_quadrature(mu, params, n)) for n in N]
+    assert [_bits(v) for v in oracle._laplace_batch(mu, params, N)] == expected
+    assert _bits(tk.laplace_quadrature(mu, params, N[0])) == expected[0]  # the one-row case
 
 
 def test_fock_truncation_tail_decreases():

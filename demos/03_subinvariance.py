@@ -53,8 +53,8 @@ for msg in messages[:2]:
     print("  reason:", msg)
 try:
     tk.mu_from_nu(atom, params)
-except tk.NotSubinvariant as exc:
-    print("  mu_from_nu raised NotSubinvariant:", str(exc)[:70])
+except ValueError as exc:
+    print("  mu_from_nu raised ValueError:", str(exc)[:70])
 
 # Operator-level consequence.  Evaluate phi(a* a) on the span of
 # {U_n} union {V U_n V*}.  When the Laplace average and the damping factor

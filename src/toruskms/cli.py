@@ -25,21 +25,13 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .oracle import psi_oracle
-from .scenario import (
-    NonNonnegativeTheta,
-    Scenario,
-    SingularE,
-    scenario_from_json,
-    validate_scenario,
-)
+from .scenario import ConstraintViolation, Scenario, scenario_from_json, validate_scenario
 from .solenoid_limit import (
-    IncompatibleThread,
-    InvalidThread,
     SolenoidMeasureThread,
     build_thread,
     psi_eval,
@@ -48,7 +40,6 @@ from .solenoid_limit import (
 )
 from .subinvariance import (
     BlockParams,
-    InvalidBlock,
     kappa_from_nu,
     mu_from_nu,
     nu_from_kappa,
@@ -80,10 +71,6 @@ class InputError(Exception):
     """Raised when a scenario, thread, or word cannot be parsed."""
 
 
-class ConstraintViolation(Exception):
-    """Raised when an input parses but violates a structural constraint."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,7 +85,7 @@ def _load_scenario(path: str) -> Scenario:
     obj = _load_json(path)
     try:
         return scenario_from_json(obj)
-    except (NonNonnegativeTheta, SingularE) as exc:
+    except ConstraintViolation as exc:
         raise ConstraintViolation(f"scenario {path}: {exc}") from exc
     except Exception as exc:
         raise InputError(f"bad scenario in {path}: {exc}") from exc
@@ -110,7 +97,7 @@ def _load_thread(scenario: Scenario, path: Optional[str]) -> SolenoidMeasureThre
     obj = _load_json(path)
     try:
         return thread_from_json(obj, scenario)
-    except (IncompatibleThread, InvalidThread) as exc:
+    except ConstraintViolation as exc:
         raise ConstraintViolation(f"thread {path}: {exc}") from exc
     except Exception as exc:
         raise InputError(f"bad thread in {path}: {exc}") from exc
@@ -124,14 +111,18 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _load_inputs(args) -> Tuple[Scenario, SolenoidMeasureThread]:
-    """The scenario and thread, rejected on the first violation `validate` lists."""
-    scenario = _load_scenario(args.scenario)
-    thread = _load_thread(scenario, args.thread)
-    problems = validate_scenario(scenario) + validate_thread(thread)
+def _reject(problems: List[str]) -> None:
     if problems:
         raise ConstraintViolation(problems[0])
-    return scenario, thread
+
+
+def _load_inputs(args) -> SolenoidMeasureThread:
+    """The thread on a validated scenario, rejected on the first violation `validate` lists."""
+    scenario = _load_scenario(args.scenario)
+    _reject(validate_scenario(scenario))
+    thread = _load_thread(scenario, args.thread)
+    _reject(validate_thread(thread))
+    return thread
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,9 +193,8 @@ def _report_options(p, default_format="text"):
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
     problems = validate_scenario(scenario)
-    if args.thread is not None:
-        thread = _load_thread(scenario, args.thread)
-        problems.extend(validate_thread(thread))
+    if args.thread is not None and not problems:  # a thread is built on a valid scenario only
+        problems = validate_thread(_load_thread(scenario, args.thread))
     if problems:
         _emit("\n".join(problems) + "\nINVALID\n", args.out)
         return 1
@@ -214,7 +204,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_state(args) -> int:
-    scenario, thread = _load_inputs(args)
+    thread = _load_inputs(args)
+    scenario = thread.scenario
     try:
         word = parse_word(args.word, scenario.dims.k, scenario.dims.d)
     except Exception as exc:
@@ -230,6 +221,8 @@ def _cmd_state(args) -> int:
     if args.oracle:
         try:
             oracle = psi_oracle(thread, word)
+        except ConstraintViolation:
+            raise
         except ValueError as exc:  # a panel count above the quadrature's cap
             raise InputError(f"no quadrature oracle for {word}: {exc}") from exc
         gap = abs(value - oracle)
@@ -243,7 +236,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    scenario, thread = _load_inputs(args)
+    thread = _load_inputs(args)
+    scenario = thread.scenario
     if not 1 <= args.level <= scenario.depth:
         raise InputError(f"level {args.level} outside 1..{scenario.depth}")
     params = BlockParams.at_level(scenario, args.level)
@@ -277,8 +271,7 @@ def _render(rows, args) -> str:
 
 def _cmd_checks(args) -> int:
     """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
-    scenario, thread = _load_inputs(args)
-    rows = run_suite(args.suite, scenario, thread, _suite_config(args))
+    rows = run_suite(args.suite, _load_inputs(args), _suite_config(args))
     _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 
@@ -300,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--{size.replace('_', '-')} must be at least {low}")
     try:
         return _COMMANDS[args.command](args)
-    except (ConstraintViolation, InvalidBlock) as exc:
+    except ConstraintViolation as exc:
         sys.stderr.write(f"constraint violated: {exc}\n")
         return 1
     except InputError as exc:

@@ -46,7 +46,6 @@ from .toeplitz_algebra import AlgebraElement, Word
 from .torus_measure import AtomicMeasure, TorusMeasure
 
 __all__ = [
-    "ThetaZero",
     "FockTruncation",
     "laplace_quadrature",
     "psi_oracle",
@@ -70,10 +69,6 @@ _PANEL_BUDGET = 6.0
 # A cap far above the ~1,100 panels of C01 and the towers (U[10**9] asks for
 # ~10**11), and the most nodes one np.exp call takes unless one row has more.
 _MAX_PANELS, _CHUNK_NODES = 2**16, 2**14
-
-
-class ThetaZero(Exception):
-    """The density-route reconciliation needs theta > 0."""
 
 
 def _theta_n(params: BlockParams, n) -> np.ndarray:
@@ -305,7 +300,7 @@ def bhs_reconciliation(
     the routes share no code.
     """
     if not theta > 0:
-        raise ThetaZero("density route needs theta > 0")
+        raise ValueError("density route needs theta > 0")
     params = BlockParams(theta=np.array([[theta]]), r=np.array([r]), beta=beta)
     nu = nu_from_mu(AtomicMeasure.point_mass([y]), params, check=False)
     a_value = nu.moment(np.array([n]))

@@ -23,8 +23,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "NonNonnegativeTheta",
-    "SingularE",
+    "ConstraintViolation",
     "Dimensions",
     "LevelData",
     "Scenario",
@@ -40,12 +39,8 @@ __all__ = [
 RELATION_TOL = 1e-12
 
 
-class NonNonnegativeTheta(Exception):
-    """A derived theta matrix has an entry below -1e-12."""
-
-
-class SingularE(Exception):
-    """An E matrix is singular, so the next level cannot be derived."""
+class ConstraintViolation(ValueError):
+    """Input that parses but breaks a structural constraint of a tower, a thread or a block."""
 
 
 @dataclass(frozen=True)
@@ -116,21 +111,21 @@ class LevelData:
     def det_E(self) -> int:
         return int(round(float(np.linalg.det(self.E.astype(float)))))
 
-    def violations(self, prefix: str = "") -> List[str]:
+    def violations(self) -> List[str]:
         """Static validity violations of this single level."""
         out = []
         if not np.all(np.isfinite(self.theta)):
-            out.append(f"{prefix}theta has a non-finite entry: {self.theta.tolist()}")
+            out.append(f"theta has a non-finite entry: {self.theta.tolist()}")
         if not np.all(np.isfinite(self.r)):
-            out.append(f"{prefix}r has a non-finite entry: {self.r.tolist()}")
+            out.append(f"r has a non-finite entry: {self.r.tolist()}")
         if np.any(self.D < 2):
-            out.append(f"{prefix}D has a diagonal entry < 2: {self.D.tolist()}")
+            out.append(f"D has a diagonal entry < 2: {self.D.tolist()}")
         if self.det_E() < 2:
-            out.append(f"{prefix}det E = {self.det_E()} < 2")
+            out.append(f"det E = {self.det_E()} < 2")
         if np.any(self.theta < 0):
-            out.append(f"{prefix}theta has a negative entry: min {float(np.min(self.theta)):.3e}")
+            out.append(f"theta has a negative entry: min {float(np.min(self.theta)):.3e}")
         if np.any(self.r <= 0):
-            out.append(f"{prefix}r has a nonpositive entry: {self.r.tolist()}")
+            out.append(f"r has a nonpositive entry: {self.r.tolist()}")
         return out
 
 
@@ -169,19 +164,18 @@ def derive_next_level(current: LevelData, next_D, next_E) -> LevelData:
     real arithmetic with no mod-Z reduction.  next_D / next_E become the
     derived level's own matrices (they would connect it to a further level).
 
-    Raises SingularE when next_E is singular and NonNonnegativeTheta when a
-    derived theta entry falls below -1e-12; entries in [-1e-12, 0) are clamped
-    to zero.
+    Raises ConstraintViolation when next_E is singular or a derived theta
+    entry falls below -1e-12; entries in [-1e-12, 0) are clamped to zero.
     """
     next_D = np.atleast_1d(np.asarray(next_D))
     next_E = np.atleast_2d(np.asarray(next_E))
     # a non-finite E has no determinant to read: LevelData below rejects it
     if np.all(np.isfinite(next_E)) and round(abs(float(np.linalg.det(next_E.astype(float))))) == 0:
-        raise SingularE("next level's E matrix is singular")
+        raise ConstraintViolation("next level's E matrix is singular")
     E_inv = np.linalg.inv(current.E.astype(float))
     theta_next = (current.theta / current.D[:, None].astype(float)) @ E_inv
     if np.min(theta_next) < -RELATION_TOL:
-        raise NonNonnegativeTheta(
+        raise ConstraintViolation(
             f"derived theta has entry {float(np.min(theta_next)):.3e} < -{RELATION_TOL}"
         )
     theta_next = np.where((theta_next < 0) & (theta_next >= -RELATION_TOL), 0.0, theta_next)
@@ -215,7 +209,7 @@ def validate_scenario(scenario: Scenario) -> List[str]:
     if not 0 < scenario.beta < np.inf:
         report.append(f"beta = {scenario.beta} is not finite and positive")
     for m, lvl in enumerate(scenario.levels, start=1):
-        report.extend(lvl.violations(prefix=f"level {m}: "))
+        report.extend(f"level {m}: {problem}" for problem in lvl.violations())
     for m in range(1, scenario.depth):
         lo = scenario.levels[m - 1]
         hi = scenario.levels[m]

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import ConstraintViolation, Scenario
 from .subinvariance import BlockParams, nu_from_mu
 from .toeplitz_algebra import AlgebraElement, Word, state_eval
 from .torus_measure import (
@@ -49,9 +49,6 @@ from .torus_measure import (
 )
 
 __all__ = [
-    "TopLevel",
-    "IncompatibleThread",
-    "InvalidThread",
     "LevelConstants",
     "SolenoidMeasureThread",
     "level_constants",
@@ -68,18 +65,6 @@ __all__ = [
 COMPAT_TOL = 1e-12
 COMPAT_RADIUS = 5
 POINT_COMPAT_TOL = 1e-10
-
-
-class TopLevel(Exception):
-    """The operation needs a level above the top of the finite tower."""
-
-
-class IncompatibleThread(Exception):
-    """Supplied thread data violate the pushforward compatibility relations."""
-
-
-class InvalidThread(Exception):
-    """A thread does not match its scenario (depth or dimensions)."""
 
 
 @dataclass(frozen=True)
@@ -111,14 +96,14 @@ class SolenoidMeasureThread:
         object.__setattr__(self, "measures", tuple(self.measures))
         object.__setattr__(self, "_states", {})  # level m -> (block, nu_m), see _state
         if len(self.measures) != self.scenario.depth:
-            raise InvalidThread("thread needs one measure per scenario level")
+            raise ConstraintViolation("thread needs one measure per scenario level")
         for mu in self.measures:
             if mu.d != self.scenario.dims.d:
-                raise InvalidThread("thread measure dimension does not match the scenario")
+                raise ConstraintViolation("thread measure dimension does not match the scenario")
 
     def measure(self, m: int) -> TorusMeasure:
         if not 1 <= m <= self.scenario.depth:
-            raise InvalidThread(f"level {m} outside 1..{self.scenario.depth}")
+            raise ConstraintViolation(f"level {m} outside 1..{self.scenario.depth}")
         return self.measures[m - 1]
 
     def _state(self, m: int) -> Tuple[BlockParams, TorusMeasure]:
@@ -134,7 +119,7 @@ def embed_word(w: Word, scenario: Scenario) -> Word:
     """The level-(m+1) image (D_m p, E_m n, D_m q) of a level-m word."""
     m = w.level
     if m >= scenario.depth:
-        raise TopLevel(f"level {m} word cannot embed beyond depth {scenario.depth}")
+        raise ValueError(f"level {m} word cannot embed beyond depth {scenario.depth}")
     # in Python ints, so that Word rejects an entry at 2**62 instead of int64 wrapping it
     D, E = scenario.level(m).D.tolist(), scenario.level(m).E.tolist()
     p, q = (tuple(map(mul, D, v)) for v in (w.p, w.q))
@@ -165,7 +150,7 @@ def build_thread(
         only for n = 0).
     kind="point"
         Point masses.  Either ``points`` lists one torus point per level,
-        checked against E_m^T y_(m+1) = y_m mod 1 to 1e-10 (IncompatibleThread
+        checked against E_m^T y_(m+1) = y_m mod 1 to 1e-10 (ConstraintViolation
         on failure), or ``y1`` gives the base point and each next level takes
         the canonical preimage (E_m^T)^(-1) y_m mod 1.  The full preimage set
         at each step is exposed by ``preimage_points``.
@@ -181,14 +166,14 @@ def build_thread(
         if points is not None:
             pts = [reduce_mod_1(np.atleast_1d(np.asarray(p, dtype=float))) for p in points]
             if len(pts) != scenario.depth:
-                raise InvalidThread("need one point per level")
+                raise ConstraintViolation("need one point per level")
             for m in range(1, scenario.depth):
                 E = scenario.level(m).E
                 image = reduce_mod_1(E.T.astype(float) @ pts[m])
                 gap = np.abs(image - pts[m - 1])
                 gap = np.minimum(gap, 1.0 - gap)  # distance on the torus
                 if float(np.max(gap)) > POINT_COMPAT_TOL:
-                    raise IncompatibleThread(
+                    raise ConstraintViolation(
                         f"levels {m}->{m + 1}: E^T y_(m+1) = {image.tolist()} "
                         f"differs from y_m = {pts[m - 1].tolist()}"
                     )
@@ -201,9 +186,9 @@ def build_thread(
         if toplevel is None:
             raise ValueError('kind="toplevel" needs the toplevel measure')
         if toplevel.d != d:
-            raise InvalidThread("toplevel measure dimension does not match the scenario")
+            raise ConstraintViolation("toplevel measure dimension does not match the scenario")
         if abs(toplevel.total_mass() - 1.0) > 1e-10:
-            raise InvalidThread("toplevel measure must be a probability measure")
+            raise ConstraintViolation("toplevel measure must be a probability measure")
         measures = [toplevel]
         for m in range(scenario.depth - 1, 0, -1):
             measures.append(pushforward_dual(measures[-1], scenario.level(m).E))
@@ -267,7 +252,7 @@ def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     """Value of the thread's solenoid state on a single spanning word.
 
     state_eval of normalized_nu(thread, m) on w, where m is the word's level.
-    Raises InvalidThread when m is outside the thread's depth.
+    Raises ConstraintViolation when m is outside the thread's depth.
     """
     params, nu = thread._state(w.level)
     return state_eval(nu, params, AlgebraElement.from_word(w), check_state=False)
@@ -278,7 +263,7 @@ def consistency_residual(thread: SolenoidMeasureThread, w: Word) -> float:
 
     The level relations telescope the linear factors and the thread relation
     matches the moments, so the embedding preserves psi exactly.  A word at
-    the top level raises TopLevel.
+    the top level raises ValueError.
     """
     return abs(psi_eval(thread, embed_word(w, thread.scenario)) - psi_eval(thread, w))
 

@@ -42,6 +42,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .scenario import ConstraintViolation
 from .torus_measure import (
     AtomicMeasure,
     MultipliedMeasure,
@@ -52,11 +53,6 @@ from .torus_measure import (
 )
 
 __all__ = [
-    "MeetNotZero",
-    "NegativeS",
-    "NegativeInput",
-    "NotSubinvariant",
-    "InvalidBlock",
     "BlockParams",
     "nu_from_mu",
     "mu_from_nu",
@@ -75,31 +71,11 @@ SUBINV_SEED = 0
 SUBINV_RADIUS = 3
 
 
-class MeetNotZero(Exception):
-    """The finite defect family F has two members with a common positive entry."""
-
-
-class NegativeS(Exception):
-    """A continuous defect parameter s has a negative entry."""
-
-
-class NegativeInput(Exception):
-    """nu_from_mu was given a measure that fails the positivity certificate."""
-
-
-class NotSubinvariant(Exception):
-    """mu_from_nu was given a measure whose sampled defects fail positivity."""
-
-
-class InvalidBlock(ValueError):
-    """BlockParams was given a shape mismatch or a theta, r or beta outside its domain."""
-
-
 @dataclass(frozen=True)
 class BlockParams:
     """Rotation block theta (k x d, >= 0), weights r (> 0), temperature beta (> 0).
 
-    Any other input, NaN and infinity included, raises InvalidBlock.
+    Any other input, NaN and infinity included, raises ConstraintViolation.
     """
 
     theta: np.ndarray
@@ -111,13 +87,13 @@ class BlockParams:
         r = np.atleast_1d(np.asarray(self.r, dtype=float))
         beta = float(self.beta)
         if theta.shape[0] != r.shape[0]:
-            raise InvalidBlock("theta must have one row per entry of r")
+            raise ConstraintViolation("theta must have one row per entry of r")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(r)) and np.isfinite(beta)):
-            raise InvalidBlock("theta, r and beta must be finite")
+            raise ConstraintViolation("theta, r and beta must be finite")
         if np.any(theta < 0):
-            raise InvalidBlock("theta entries must be nonnegative")
+            raise ConstraintViolation("theta entries must be nonnegative")
         if np.any(r <= 0) or not beta > 0:
-            raise InvalidBlock("r entries and beta must be positive")
+            raise ConstraintViolation("r entries and beta must be positive")
         theta.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -130,8 +106,8 @@ class BlockParams:
         lvl = scenario.level(m)
         try:
             return cls(theta=lvl.theta, r=lvl.r, beta=scenario.beta)
-        except InvalidBlock as exc:
-            raise InvalidBlock(f"level {m}: {exc}") from None
+        except ConstraintViolation as exc:
+            raise ConstraintViolation(f"level {m}: {exc}") from None
 
     @property
     def k(self) -> int:
@@ -173,7 +149,7 @@ def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
     ||mu|| * prod_j (beta r_j)^(-1).
 
     With check=True (default) mu must pass the positivity certificate;
-    NegativeInput is raised otherwise.
+    ValueError is raised otherwise.
     """
     _check_dims(mu, params)
     if check:
@@ -189,14 +165,14 @@ def mu_from_nu(nu: TorusMeasure, params: BlockParams, check: bool = True) -> Mul
     """Inverse of nu_from_mu: multiply moments by prod_j (beta r_j - 2 pi i (theta n)_j).
 
     The input should be subinvariant for the block; with check=True a sampled
-    continuous-defect certificate is run first (NotSubinvariant on failure).
+    continuous-defect certificate is run first (ValueError on failure).
     Pass check=False to skip it, e.g. inside verified round trips.
     """
     _check_dims(nu, params)
     if check:
         ok, failures = check_subinvariance(nu, params)
         if not ok:
-            raise NotSubinvariant("; ".join(failures[:3]))
+            raise ValueError("; ".join(failures[:3]))
     return MultipliedMeasure(
         nu,
         partial(_factor_product, _laplace_factors, False, params),
@@ -260,7 +236,7 @@ def defect_measure_finite(
     fam.sort(key=lambda a: tuple(a))
     for a, b in itertools.combinations(fam, 2):
         if np.any(np.minimum(a, b) > 0):
-            raise MeetNotZero(f"steps {a.tolist()} and {b.tolist()} have nonzero meet")
+            raise ValueError(f"steps {a.tolist()} and {b.tolist()} have nonzero meet")
     tag = f"finite-defect(F={[a.tolist() for a in fam]})"
     return _step_measure(nu, fam, False, params, tag)
 
@@ -274,14 +250,14 @@ def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMe
         prod_j (1 - e^(-beta s_j r_j) e^(2 pi i s_j (theta n)_j)),
 
     the step factor over the rows of diag(s).  s_j = 0 makes the j-th factor
-    vanish, so s = 0 yields the zero measure.  Negative entries raise NegativeS.
+    vanish, so s = 0 yields the zero measure.  Negative entries raise ValueError.
     """
     _check_dims(nu, params)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (params.k,):
         raise ValueError(f"s must be a vector of length {params.k}")
     if np.any(s < 0):
-        raise NegativeS(f"s must be entrywise nonnegative, got {s.tolist()}")
+        raise ValueError(f"s must be entrywise nonnegative, got {s.tolist()}")
     return _step_measure(nu, np.diag(s), False, params, f"cts-defect(s={s.tolist()})")
 
 
@@ -331,8 +307,7 @@ def check_subinvariance(nu: TorusMeasure, params: BlockParams) -> Tuple[bool, Li
     """
     _check_dims(nu, params)
     rng = np.random.default_rng(SUBINV_SEED)
-    s_max = 5.0 / (params.beta * float(np.min(params.r)))
-    trial_s = [np.ones(params.k), *rng.uniform(0.0, s_max, (SUBINV_DRAWS, params.k))]
+    trial_s = [np.ones(params.k), *rng.uniform(0.0, _s_max(params), (SUBINV_DRAWS, params.k))]
     failures: List[str] = []
     verdict = positivity_test(nu, moment_radius=SUBINV_RADIUS)
     if not verdict.is_positive:
@@ -343,6 +318,11 @@ def check_subinvariance(nu: TorusMeasure, params: BlockParams) -> Tuple[bool, Li
         if not verdict.is_positive:
             failures.append(f"defect at s={np.round(s, 4).tolist()}: {verdict.describe()}")
     return (not failures), failures
+
+
+def _s_max(params: BlockParams) -> float:
+    """5 / (beta min_j r_j), the upper end of the sampled defect parameters s_j."""
+    return 5.0 / (params.beta * float(np.min(params.r)))
 
 
 def _check_dims(mu: TorusMeasure, params: BlockParams):
@@ -357,7 +337,7 @@ def _require_nonnegative(mu: TorusMeasure):
     if isinstance(mu, AtomicMeasure):
         if np.max(np.abs(mu.weights.imag)) <= 1e-12 and np.min(mu.weights.real) >= -1e-12:
             return
-        raise NegativeInput("atomic measure has negative or complex weights")
+        raise ValueError("atomic measure has negative or complex weights")
     verdict = positivity_test(mu)
     if not verdict.is_positive:
-        raise NegativeInput(verdict.describe())
+        raise ValueError(verdict.describe())

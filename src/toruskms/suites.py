@@ -40,6 +40,7 @@ from .solenoid_limit import (
 )
 from .subinvariance import (
     BlockParams,
+    _s_max,
     defect_measure_cts,
     kappa_from_nu,
     mu_from_nu,
@@ -325,8 +326,7 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
                 -verdict.min_eigenvalue,
             )
         )
-        s_max = 5.0 / (scenario.beta * float(np.min(params.r)))
-        s_points = [rng.uniform(0.0, s_max, scenario.dims.k) for _ in range(cfg.s_samples)]
+        s_points = [rng.uniform(0.0, _s_max(params), scenario.dims.k) for _ in range(cfg.s_samples)]
         s_points.extend(_subinv_lattice_points(scenario, m))
         quantity = (
             f"defect positivity over {cfg.s_samples} sampled s + "
@@ -459,7 +459,7 @@ def _check_level_consistency(scenario, thread, cfg, rng) -> List[StateReport]:
 
 def _check_reconciliation(scenario, thread, cfg, rng) -> List[StateReport]:
     # the samples below do not read the scenario, but a skip or a pass must
-    # not vouch for a tower with an invalid block (raises InvalidBlock)
+    # not vouch for a tower with an invalid block (raises ConstraintViolation)
     for m in range(1, scenario.depth + 1):
         BlockParams.at_level(scenario, m)
     if (scenario.dims.d, scenario.dims.k) != (1, 1):
@@ -688,12 +688,9 @@ SUITES: Dict[str, Tuple[str, ...]] = {
 
 
 def run_checks(
-    check_ids: Sequence[str],
-    scenario: Scenario,
-    thread: SolenoidMeasureThread,
-    cfg: Optional[SuiteConfig] = None,
+    check_ids: Sequence[str], thread: SolenoidMeasureThread, cfg: Optional[SuiteConfig] = None
 ) -> List[StateReport]:
-    """Run the named checks in turn, in CHECKS order (sorted by check id).
+    """Run the named checks on the thread and its scenario, in CHECKS order (by check id).
 
     Every check draws from its own generator seeded by (cfg.seed, check
     position), so a check's rows do not depend on the subset requested.
@@ -707,19 +704,16 @@ def run_checks(
     for idx, (cid, _title, fn) in enumerate(CHECKS):
         if cid in wanted:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
-            rows.extend(fn(scenario, thread, cfg, rng))
+            rows.extend(fn(thread.scenario, thread, cfg, rng))
     return rows
 
 
 def run_suite(
-    name: str,
-    scenario: Scenario,
-    thread: SolenoidMeasureThread,
-    cfg: Optional[SuiteConfig] = None,
+    name: str, thread: SolenoidMeasureThread, cfg: Optional[SuiteConfig] = None
 ) -> List[StateReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return run_checks(SUITES[name], scenario, thread, cfg)
+    return run_checks(SUITES[name], thread, cfg)
 
 
 def overall_pass(rows: Sequence[StateReport]) -> bool:

@@ -49,8 +49,6 @@ from .subinvariance import TWO_PI_I, BlockParams
 from .torus_measure import AtomicMeasure, TorusMeasure
 
 __all__ = [
-    "LevelMismatch",
-    "WordParseError",
     "Word",
     "AlgebraElement",
     "multiply",
@@ -62,14 +60,6 @@ __all__ = [
 ]
 
 PRUNE_TOL = 1e-15
-
-
-class LevelMismatch(Exception):
-    """Two elements at different levels cannot be combined."""
-
-
-class WordParseError(Exception):
-    """A word literal does not match V[p] U[n] V*[q] @ m."""
 
 
 def _int_entry(v, what: str) -> int:
@@ -134,7 +124,7 @@ class AlgebraElement:
         cleaned: Dict[Word, complex] = {}
         for word, coeff in terms.items():
             if word.level != level:
-                raise LevelMismatch(f"term at level {word.level} in element at level {level}")
+                raise ValueError(f"term at level {word.level} in element at level {level}")
             c = complex(coeff)
             # NaN first: CPython's abs of a NaN reads an errno a caught overflow may have set
             if c != c or not abs(c) < PRUNE_TOL:
@@ -153,7 +143,7 @@ class AlgebraElement:
     def sup_coefficient_distance(self, other: "AlgebraElement") -> float:
         """Largest |coefficient difference| over the words of both, 0 if none; NaN if any is NaN."""
         if self.level != other.level:
-            raise LevelMismatch(f"levels {self.level} and {other.level} differ")
+            raise ValueError(f"levels {self.level} and {other.level} differ")
         both = _pack([self, other], None, None)
         one, two = (tuple(part[i:i + 1] for part in both) for i in (0, 1))
         return float(_gaps(one, two).max(initial=0.0))
@@ -286,7 +276,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, theta) -> AlgebraElement:
     when a product's word has an entry of 2**62 or more in modulus.
     """
     if a.level != b.level:
-        raise LevelMismatch(f"levels {a.level} and {b.level} differ")
+        raise ValueError(f"levels {a.level} and {b.level} differ")
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.ndim != 2:
         raise ValueError(f"theta must be a k x d matrix, got shape {theta.shape}")
@@ -349,7 +339,7 @@ def kms_residual(
     diagonal form makes the twisted trace property an algebraic identity.
     """
     if a.level != b.level:
-        raise LevelMismatch(f"levels {a.level} and {b.level} differ")
+        raise ValueError(f"levels {a.level} and {b.level} differ")
     k, d = params.theta.shape
     return _kms_residuals([nu], params, _pack([a], k, d), _pack([b], k, d), a.level)[0]
 
@@ -372,21 +362,21 @@ def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
     try:
         return tuple(int(s) for s in parts)
     except ValueError as exc:
-        raise WordParseError(f"{what} must be a comma-separated integer list: {text!r}") from exc
+        raise ValueError(f"{what} must be a comma-separated integer list: {text!r}") from exc
 
 
 def parse_word(text: str, k: int, d: int) -> Word:
     """Parse the literal syntax "V[p1,..,pk] U[n1,..,nd] V*[q1,..,qk] @ m"."""
     match = _WORD_RE.match(text)
     if not match:
-        raise WordParseError(f"cannot parse word literal: {text!r}")
+        raise ValueError(f"cannot parse word literal: {text!r}")
     p = _parse_int_list(match.group("p"), "p")
     n = _parse_int_list(match.group("n"), "n")
     q = _parse_int_list(match.group("q"), "q")
     if len(p) != k or len(q) != k:
-        raise WordParseError(f"V exponents must have length k={k}, got {len(p)} and {len(q)}")
+        raise ValueError(f"V exponents must have length k={k}, got {len(p)} and {len(q)}")
     if len(n) != d:
-        raise WordParseError(f"U exponent must have length d={d}, got {len(n)}")
+        raise ValueError(f"U exponent must have length d={d}, got {len(n)}")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
-        raise WordParseError("V exponents must be nonnegative")
+        raise ValueError("V exponents must be nonnegative")
     return Word(p=p, n=n, q=q, level=int(match.group("m")))

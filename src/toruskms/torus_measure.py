@@ -32,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "SingularMatrix",
     "TorusMeasure",
     "AtomicMeasure",
     "MultipliedMeasure",
@@ -52,10 +51,6 @@ _DEFAULT_GRID = {1: 256, 2: 64, 3: 32}
 
 # positivity_test refutes positivity at a moment-matrix eigenvalue below -POSITIVITY_TOL.
 POSITIVITY_TOL = 1e-8
-
-
-class SingularMatrix(Exception):
-    """A pushforward was requested along a matrix with zero determinant."""
 
 
 def reduce_mod_1(x):
@@ -218,7 +213,7 @@ def pushforward_dual(mu: TorusMeasure, E) -> TorusMeasure:
     if E.shape != (mu.d, mu.d) or np.max(np.abs(np.asarray(E, dtype=float) - Ei)) > 1e-9:
         raise ValueError("E must be a square integer matrix of the measure's dimension")
     if round(abs(np.linalg.det(Ei.astype(float)))) == 0:
-        raise SingularMatrix("pushforward matrix must have nonzero determinant")
+        raise ValueError("pushforward matrix must have nonzero determinant")
     if isinstance(mu, AtomicMeasure):
         return AtomicMeasure(mu.points @ Ei, mu.weights)
     if isinstance(mu, UniformMeasure):

@@ -2,8 +2,11 @@
 
 The frozen list below is the contract.  A name enters it by being called from
 outside the tests (the package, the CLI, ``demos/`` or ``perfbench/``), by
-being raised or returned by a name that is, or by being a reference route the
-tests compare against (``fock_dense_state``).  Changing it is an API change.
+being returned by a name that is, or by being a reference route the tests
+compare against (``fock_dense_state``).  An exception type is public only if
+code outside the tests catches it by type: the CLI catches
+``ConstraintViolation`` for exit 1, and every other rejected input raises a
+plain ``ValueError``.  Changing the list is an API change.
 
 ``SETTINGS`` freezes the other half of the surface: every parameter with a
 default of a public callable (a function, a class's constructor, or a public
@@ -21,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import toruskms as tk
@@ -35,14 +39,11 @@ from toruskms import (
 )
 
 PUBLIC = [
-    "AlgebraElement", "AtomicMeasure", "BlockParams", "CHECKS", "Dimensions",
-    "FockTruncation", "IncompatibleThread", "InvalidBlock", "InvalidThread",
-    "LevelConstants", "LevelData", "LevelMismatch", "MappedIndexMeasure", "MeetNotZero",
-    "MultipliedMeasure", "NegativeInput", "NegativeS", "NonNonnegativeTheta",
-    "NotSubinvariant", "PositivityVerdict", "SUITES", "Scenario",
-    "SingularE", "SingularMatrix", "SolenoidMeasureThread", "StateReport", "SuiteConfig",
-    "ThetaZero", "TopLevel", "TorusMeasure", "UniformMeasure", "Word", "WordParseError",
-    "adjoint", "apply_dynamics", "atomic_from_json", "bhs_reconciliation", "build_thread",
+    "AlgebraElement", "AtomicMeasure", "BlockParams", "CHECKS", "ConstraintViolation",
+    "Dimensions", "FockTruncation", "LevelConstants", "LevelData", "MappedIndexMeasure",
+    "MultipliedMeasure", "PositivityVerdict", "SUITES", "Scenario", "SolenoidMeasureThread",
+    "StateReport", "SuiteConfig", "TorusMeasure", "UniformMeasure", "Word", "adjoint",
+    "apply_dynamics", "atomic_from_json", "bhs_reconciliation", "build_thread",
     "check_subinvariance", "consistency_residual", "defect_measure_cts",
     "defect_measure_finite", "derive_levels", "derive_next_level", "embed_word",
     "fock_dense_state", "fock_element_matrix", "fock_state_eval", "fock_tail_bound",
@@ -59,11 +60,14 @@ PUBLIC = [
 DELETED = [
     "moment", "FourierTableMeasure", "OutOfBox", "translate", "atomic_to_json",
     "embed_element", "sigma_map", "join", "QuadratureSpec",
+    # the exception classes no code outside the tests told apart
+    "NonNonnegativeTheta", "SingularE", "IncompatibleThread", "InvalidThread", "InvalidBlock",
+    "SingularMatrix", "MeetNotZero", "NegativeS", "NegativeInput", "NotSubinvariant",
+    "LevelMismatch", "WordParseError", "TopLevel", "ThetaZero",
 ]
 
 SETTINGS = [
     "AlgebraElement.from_word(coeff=1.0)",
-    "LevelData.violations(prefix='')",
     "SuiteConfig(moment_box=5)",
     "SuiteConfig(s_samples=50)",
     "SuiteConfig(samples=100)",
@@ -123,6 +127,64 @@ def test_star_import_binds_exactly_the_public_names():
 def test_deleted_names_are_gone(name):
     assert not hasattr(tk, name)
     assert not any(hasattr(module, name) for module in MODULES)
+
+
+def _line_tower():
+    levels = tk.derive_levels(np.array([[1.0]]), np.array([1.0]), [np.array([2])] * 2,
+                              [np.array([[2]])] * 2)
+    return tk.Scenario(dims=tk.Dimensions(d=1, k=1), beta=1.0, levels=levels)
+
+
+def _block(theta=1.0):
+    return tk.BlockParams(theta=np.array([[theta]]), r=np.array([1.0]), beta=1.0)
+
+
+def _nu():
+    return tk.nu_from_mu(tk.UniformMeasure(1), _block())
+
+
+def _word(level):
+    return tk.Word(p=(0,), n=(0,), q=(0,), level=level)
+
+
+# deleted class -> (a call that raised it, its message, a ConstraintViolation?)
+REJECTIONS = {
+    "NonNonnegativeTheta": (lambda: tk.derive_levels(
+        np.array([[0.9, 0.1]]), np.array([1.0]), [np.array([2])] * 2,
+        [np.array([[1, 2], [2, 1]])] * 2), "derived theta has entry", True),
+    "SingularE": (lambda: tk.derive_levels(
+        np.array([[1.0]]), np.array([1.0]), [np.array([2])] * 2, [np.array([[0]])] * 2),
+        "E matrix is singular", True),
+    "IncompatibleThread": (lambda: tk.build_thread(
+        _line_tower(), kind="point", points=[[0.3], [0.11]]), "differs from y_m", True),
+    "InvalidThread": (lambda: tk.SolenoidMeasureThread(_line_tower(), (tk.UniformMeasure(1),)),
+                      "one measure per scenario level", True),
+    "InvalidBlock": (lambda: _block(theta=-1.0), "theta entries must be nonnegative", True),
+    "SingularMatrix": (lambda: tk.pushforward_dual(tk.UniformMeasure(2), [[1, 1], [1, 1]]),
+                       "nonzero determinant", False),
+    "MeetNotZero": (lambda: tk.defect_measure_finite(_nu(), [(1,), (2,)], _block()),
+                    "nonzero meet", False),
+    "NegativeS": (lambda: tk.defect_measure_cts(_nu(), [-0.5], _block()),
+                  "entrywise nonnegative", False),
+    "NegativeInput": (lambda: tk.nu_from_mu(
+        tk.AtomicMeasure([[0.1], [0.7]], [1.0, -0.4]), _block()), "negative or complex", False),
+    "NotSubinvariant": (lambda: tk.mu_from_nu(tk.AtomicMeasure.point_mass([0.2]), _block()),
+                        "not positive", False),
+    "LevelMismatch": (lambda: tk.AlgebraElement(1, {_word(2): 1.0}),
+                      "term at level 2 in element at level 1", False),
+    "WordParseError": (lambda: tk.parse_word("garbage", 1, 1), "cannot parse word", False),
+    "TopLevel": (lambda: tk.embed_word(_word(2), _line_tower()), "beyond depth 2", False),
+    "ThetaZero": (lambda: tk.bhs_reconciliation(0.2, 0.0, 1.0, 1.0, 1), "theta > 0", False),
+}
+
+
+@pytest.mark.parametrize("deleted", sorted(REJECTIONS))
+def test_each_deleted_class_is_a_value_error_now(deleted):
+    call, message, constraint = REJECTIONS[deleted]
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert isinstance(info.value, tk.ConstraintViolation) is constraint
+    assert deleted in DELETED
 
 
 def _public_callables():

@@ -116,6 +116,18 @@ def test_state_oracle_past_the_panel_cap_exits_two_without_allocating(capsys):
     assert peak < 2**25
 
 
+def test_state_oracle_keeps_a_constraint_violation_at_exit_one(line_files, capsys, monkeypatch):
+    # the oracle's ValueError handler must not take a ConstraintViolation for a parse error
+    _root, scenario, _thread = line_files
+
+    def violated(thread, word):
+        raise tk.ConstraintViolation("level 1: r entries and beta must be positive")
+
+    monkeypatch.setattr("toruskms.cli.psi_oracle", violated)
+    assert main(["state", "--scenario", str(scenario), "--word", WORD, "--oracle"]) == 1
+    _one_violation_line(capsys, "level 1: r entries and beta must be positive")
+
+
 def test_point_thread_without_points_or_y1_exits_two(line_files, tmp_path, capsys):
     _root, scenario, _thread = line_files
     thread = tmp_path / "pointless.json"
@@ -213,7 +225,7 @@ def test_suite_failure_exits_one(line_files, tmp_path, capsys):
     measures = list(good.measures)
     measures[1] = tk.AtomicMeasure(np.array([[0.77]]), np.array([1.0]))
     bad = tk.SolenoidMeasureThread(sc, tuple(measures))
-    rows = tk.run_checks(("C07",), sc, bad, tk.SuiteConfig(samples=10))
+    rows = tk.run_checks(("C07",), bad, tk.SuiteConfig(samples=10))
     assert not tk.overall_pass(rows)
     capsys.readouterr()
 
@@ -415,8 +427,8 @@ def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
     _one_violation_line(capsys, "level 2: theta has a non-finite entry")
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
     thread = tk.build_thread(scenario, kind="uniform")
-    with pytest.raises(tk.InvalidBlock, match="level 2: theta, r and beta must be finite"):
-        tk.run_checks(("C07",), scenario, thread, tk.SuiteConfig(samples=10))
+    with pytest.raises(tk.ConstraintViolation, match="level 2: theta, r and beta must be finite"):
+        tk.run_checks(("C07",), thread, tk.SuiteConfig(samples=10))
 
 
 def test_engine_fuzz_fails_on_nan_theta(tmp_path, monkeypatch):
@@ -426,7 +438,7 @@ def test_engine_fuzz_fails_on_nan_theta(tmp_path, monkeypatch):
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
     thread = tk.build_thread(scenario, kind="uniform")
     monkeypatch.setattr("toruskms.suites.FUZZ_COUNT", 20)
-    rows = tk.run_checks(["C11"], scenario, thread, tk.SuiteConfig())
+    rows = tk.run_checks(["C11"], thread, tk.SuiteConfig())
     fuzz = rows[0]
     assert fuzz.quantity.startswith("engine fuzz") and fuzz.status == "fail"
     assert np.isnan(fuzz.residual)
@@ -494,6 +506,27 @@ def test_validate_rejects_a_thread_off_by_4e_11(tmp_path, capsys):
     assert "levels 3->4: compatibility defect" in capsys.readouterr().out
     assert main(["state", *common, "--word", "V[0] U[1] V*[0] @ 1"]) == 1
     _one_violation_line(capsys, "levels 3->4: compatibility defect")
+
+
+@pytest.mark.parametrize("thread", [
+    {"kind": "point", "y1": [0.3, 0.55]},
+    {"kind": "toplevel", "toplevel_measure": {"atoms": [{"x": [0.1, 0.2], "w": 1.0}]}},
+], ids=["point", "toplevel"])
+def test_a_singular_E_is_a_violation_with_a_thread(tmp_path, capsys, thread):
+    # the scenario is validated before a thread is built on it, so the
+    # thread's lift through E never runs into the singular matrix
+    obj = json.loads((SCENARIOS / "planar_tower.json").read_text())
+    obj["E"][1] = [[1, 1], [1, 1]]
+    (tmp_path / "singular.json").write_text(json.dumps(obj))
+    (tmp_path / "thread.json").write_text(json.dumps(thread))
+    common = ["--scenario", str(tmp_path / "singular.json"),
+              "--thread", str(tmp_path / "thread.json")]
+    assert main(["validate", *common]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("level 2: det E = 0 < 2\n") and captured.err == ""
+    assert captured.out.endswith("INVALID\n")
+    assert main(["report", *common, "--samples", "5", "--s-samples", "1"]) == 1
+    _one_violation_line(capsys, "level 2: det E = 0 < 2")
 
 
 def _line_with_nan(tmp_path, field: str):

@@ -89,7 +89,7 @@ def _load(tower):
     # so a shared one would carry a mutant's measure into later tests
     scenario_file, thread_file = TOWERS[tower]
     scenario = tk.scenario_from_json(json.loads((ROOT / scenario_file).read_text()))
-    return scenario, tk.thread_from_json(json.loads((ROOT / thread_file).read_text()), scenario)
+    return tk.thread_from_json(json.loads((ROOT / thread_file).read_text()), scenario)
 
 
 def _patch(monkeypatch, owner, name, mutant):
@@ -192,47 +192,46 @@ MUTANTS = {
 
 @pytest.mark.parametrize("tower", ["line", "planar"])
 def test_theta_mod_one_fails_the_quadrature_check(tower, monkeypatch, request):
-    scenario = request.getfixturevalue(f"{tower}_scenario")
     thread = request.getfixturevalue(f"{tower}_uniform_thread")
     cfg = tk.SuiteConfig(samples=2, s_samples=0, moment_box=1)
-    assert tk.overall_pass(tk.run_checks(("C01",), scenario, thread, cfg))
+    assert tk.overall_pass(tk.run_checks(("C01",), thread, cfg))
     monkeypatch.setattr(tk.BlockParams, "theta_dot", _theta_dot_mod_one)
-    rows = tk.run_checks(("C01",), scenario, thread, cfg)
+    rows = tk.run_checks(("C01",), thread, cfg)
     assert not tk.overall_pass(rows)
     assert rows[0].residual > 1e-3
 
 
 @pytest.mark.parametrize("tower", sorted(TOWERS))
 def test_unmutated_code_passes_every_check(tower):
-    scenario, thread = _load(tower)
-    assert tk.overall_pass(tk.run_checks(tk.SUITES["all"], scenario, thread, CFG))
+    thread = _load(tower)
+    assert tk.overall_pass(tk.run_checks(tk.SUITES["all"], thread, CFG))
 
 
 @pytest.mark.parametrize("tower", sorted(TOWERS))
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_fails_its_checks(mutant, tower, monkeypatch):
     module, name, replacement, checks = MUTANTS[mutant]
-    scenario, thread = _load(tower)
+    thread = _load(tower)
     _patch(monkeypatch, module, name, replacement)
-    rows = tk.run_checks(checks, scenario, thread, CFG)
+    rows = tk.run_checks(checks, thread, CFG)
     for check_id in checks:
         assert any(r.status == "fail" for r in rows if r.check_id == check_id), check_id
 
 
 @pytest.mark.parametrize("tower", sorted(TOWERS))
 def test_conjugated_defect_phase_fails_c04_by_a_margin(tower, monkeypatch):
-    scenario, thread = _load(tower)
+    thread = _load(tower)
     _patch(monkeypatch, subinvariance, "defect_measure_cts", _defect_cts_conjugated)
-    rows = tk.run_checks(("C04",), scenario, thread, CFG)
+    rows = tk.run_checks(("C04",), thread, CFG)
     assert max(r.residual for r in rows) >= 1.35e-2
 
 
 @pytest.mark.parametrize("tower", sorted(TOWERS))
 def test_min_join_fails_a_row_or_stops_the_report(tower, monkeypatch):
-    scenario, thread = _load(tower)
+    thread = _load(tower)
     _patch(monkeypatch, toeplitz_algebra, "_product", _product_min_join())
     try:
-        rows = tk.run_checks(tk.SUITES["all"], scenario, thread, CFG)
+        rows = tk.run_checks(tk.SUITES["all"], thread, CFG)
     except ValueError as exc:  # uncaught by `report`, whose process then exits 1
         assert "nonnegative" in str(exc)
         return

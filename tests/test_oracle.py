@@ -199,7 +199,7 @@ def test_bhs_reconciliation_routes_agree():
 
 
 def test_bhs_rejects_nonpositive_theta():
-    with pytest.raises(tk.ThetaZero):
+    with pytest.raises(ValueError, match="density route needs theta > 0"):
         tk.bhs_reconciliation(0.2, 0.0, 1.0, 1.0, 1)
 
 

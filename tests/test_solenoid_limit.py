@@ -19,7 +19,7 @@ def test_embed_word_scales_exponents(line_scenario):
     assert up.p == (2,)
     assert up.n == (4,)
     assert up.q == (6,)
-    with pytest.raises(tk.TopLevel):
+    with pytest.raises(ValueError, match="cannot embed beyond depth 4"):
         tk.embed_word(tk.Word(p=(0,), n=(0,), q=(0,), level=4), line_scenario)
 
 
@@ -113,7 +113,7 @@ def test_point_thread_canonical_lift(line_scenario):
 
 
 def test_explicit_point_thread_rejects_incompatible(line_scenario):
-    with pytest.raises(tk.IncompatibleThread):
+    with pytest.raises(tk.ConstraintViolation, match=r"levels 1->2: E\^T y_\(m\+1\)"):
         tk.build_thread(
             line_scenario,
             kind="point",
@@ -154,7 +154,7 @@ def test_psi_vanishes_off_diagonal(line_point_thread):
 
 
 def test_psi_rejects_levels_beyond_depth(line_point_thread):
-    with pytest.raises(tk.InvalidThread):
+    with pytest.raises(tk.ConstraintViolation, match="level 9 outside 1..4"):
         tk.psi_eval(line_point_thread, tk.Word(p=(0,), n=(0,), q=(0,), level=9))
 
 

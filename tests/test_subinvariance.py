@@ -87,7 +87,7 @@ def test_round_trips_on_moments():
 def test_nu_from_mu_rejects_signed_input():
     params = _unit_block()
     signed = tk.AtomicMeasure(np.array([[0.1], [0.7]]), np.array([1.0, -0.4]))
-    with pytest.raises(tk.NegativeInput):
+    with pytest.raises(ValueError, match="negative or complex weights"):
         tk.nu_from_mu(signed, params)
     # check=False lets analysis continue on signed data
     nu = tk.nu_from_mu(signed, params, check=False)
@@ -99,7 +99,7 @@ def test_mu_from_nu_gate_rejects_non_subinvariant():
     # itself (its defect at s = (1,1,...) is a signed measure)
     params = _unit_block()
     not_nu = tk.AtomicMeasure(np.array([[0.0], [0.5]]), np.array([0.5, 0.5]))
-    with pytest.raises(tk.NotSubinvariant):
+    with pytest.raises(ValueError, match="defect at s="):
         tk.mu_from_nu(not_nu, params)
 
 
@@ -173,7 +173,7 @@ def test_finite_defect_rejects_overlapping_family():
     rng = np.random.default_rng(5)
     params = random_block(rng, 2, 2)
     nu = tk.nu_from_mu(random_atomic(rng, 2), params)
-    with pytest.raises(tk.MeetNotZero):
+    with pytest.raises(ValueError, match="have nonzero meet"):
         tk.defect_measure_finite(nu, [np.array([1, 0]), np.array([1, 1])], params)
 
 
@@ -189,7 +189,7 @@ def test_cts_defect_positive_on_laplace_averages():
 def test_cts_defect_rejects_negative_s():
     params = _unit_block()
     nu = tk.nu_from_mu(tk.UniformMeasure(1), params)
-    with pytest.raises(tk.NegativeS):
+    with pytest.raises(ValueError, match="s must be entrywise nonnegative"):
         tk.defect_measure_cts(nu, np.array([-0.5]), params)
 
 
@@ -327,7 +327,7 @@ def test_at_level_raises_invalid_block_naming_the_level(line_scenario):
     levels = list(line_scenario.levels)
     levels[1] = dataclasses.replace(levels[1], r=np.array([0.0]))
     broken = dataclasses.replace(line_scenario, levels=tuple(levels))
-    with pytest.raises(tk.InvalidBlock, match="level 2: r entries"):
+    with pytest.raises(tk.ConstraintViolation, match="level 2: r entries"):
         tk.BlockParams.at_level(broken, 2)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -34,21 +35,21 @@ def test_suite_names_cover_all_checks():
     assert set(tk.SUITES["all"]) == {f"C{i:02d}" for i in range(1, 13)}
 
 
-def test_all_checks_pass_on_line_tower(line_scenario, line_point_thread):
-    rows = tk.run_checks(tk.SUITES["all"], line_scenario, line_point_thread, _small_cfg())
+def test_all_checks_pass_on_line_tower(line_point_thread):
+    rows = tk.run_checks(tk.SUITES["all"], line_point_thread, _small_cfg())
     assert rows
     assert tk.overall_pass(rows)
     assert all(row.status in ("pass", "skip") for row in rows)
 
 
-def test_subset_rows_match_full_run(line_scenario, line_uniform_thread):
+def test_subset_rows_match_full_run(line_uniform_thread):
     cfg = _small_cfg(seed=11)
-    full = tk.run_checks(tk.SUITES["all"], line_scenario, line_uniform_thread, cfg)
+    full = tk.run_checks(tk.SUITES["all"], line_uniform_thread, cfg)
     ids = [r.check_id for r in full]
     assert ids == sorted(ids)
     assert set(ids) == set(tk.SUITES["all"])
     for cid in tk.SUITES["all"]:
-        alone = tk.run_checks((cid,), line_scenario, line_uniform_thread, cfg)
+        alone = tk.run_checks((cid,), line_uniform_thread, cfg)
         assert alone == [r for r in full if r.check_id == cid], cid
 
 
@@ -84,25 +85,42 @@ def test_batched_checks_draw_with_as_many_generator_calls_at_any_size(
     assert calls[0] == calls[1]
 
 
-def test_seed_changes_results(line_scenario, line_uniform_thread):
-    one = tk.run_checks(("C01",), line_scenario, line_uniform_thread, _small_cfg(seed=1))
-    two = tk.run_checks(("C01",), line_scenario, line_uniform_thread, _small_cfg(seed=2))
+def test_seed_changes_results(line_uniform_thread):
+    one = tk.run_checks(("C01",), line_uniform_thread, _small_cfg(seed=1))
+    two = tk.run_checks(("C01",), line_uniform_thread, _small_cfg(seed=2))
     assert one[0].residual != two[0].residual
 
 
-def test_reconcile_skips_off_line_dimensions(planar_scenario, planar_uniform_thread):
-    rows = tk.run_checks(("C08",), planar_scenario, planar_uniform_thread, _small_cfg())
+def test_reconcile_skips_off_line_dimensions(planar_uniform_thread):
+    rows = tk.run_checks(("C08",), planar_uniform_thread, _small_cfg())
     assert len(rows) == 1
     assert rows[0].status == "skip"
     assert "d = k = 1" in rows[0].quantity
     assert tk.overall_pass(rows)  # a skip is not a failure
 
 
-def test_unknown_check_id_rejected(line_scenario, line_uniform_thread):
+def test_checks_read_the_tower_from_the_thread(line_scenario, line_point_thread):
+    # the thread is the one input, so C02-C04 cannot take their blocks from one
+    # tower while C05, C07 and C12 evaluate the state on the thread's own
+    assert list(inspect.signature(tk.run_checks).parameters) == ["check_ids", "thread", "cfg"]
+    assert list(inspect.signature(tk.run_suite).parameters) == ["name", "thread", "cfg"]
+    hot = tk.Scenario(dims=line_scenario.dims, beta=3.0, levels=line_scenario.levels)
+    thread = tk.build_thread(hot, kind="point", y1=np.array([0.3]))
+    rows = tk.run_checks(tk.SUITES["all"], thread, _small_cfg())
+    assert tk.overall_pass(rows)
+    masses = [row.value for row in rows if row.check_id == "C02" and row.level > 0]
+    assert masses == pytest.approx([1.0 / (3.0 * lvl.r[0]) for lvl in hot.levels], rel=1e-12)
+    cold = tk.run_checks(("C02",), line_point_thread, _small_cfg())
+    assert [row.value for row in cold if row.level > 0] == pytest.approx(
+        [1.0 / lvl.r[0] for lvl in line_scenario.levels], rel=1e-12
+    )
+
+
+def test_unknown_check_id_rejected(line_uniform_thread):
     with pytest.raises(ValueError):
-        tk.run_checks(("C99",), line_scenario, line_uniform_thread, _small_cfg())
+        tk.run_checks(("C99",), line_uniform_thread, _small_cfg())
     with pytest.raises(ValueError):
-        tk.run_suite("nope", line_scenario, line_uniform_thread, _small_cfg())
+        tk.run_suite("nope", line_uniform_thread, _small_cfg())
 
 
 def test_corrupted_thread_fails_consistency(line_scenario):
@@ -110,7 +128,7 @@ def test_corrupted_thread_fails_consistency(line_scenario):
     measures = list(good.measures)
     measures[1] = tk.AtomicMeasure(np.array([[0.77]]), np.array([1.0]))
     bad = tk.SolenoidMeasureThread(line_scenario, tuple(measures))
-    rows = tk.run_checks(("C07",), line_scenario, bad, _small_cfg())
+    rows = tk.run_checks(("C07",), bad, _small_cfg())
     assert not tk.overall_pass(rows)
     assert any(r.status == "fail" for r in rows)
 
@@ -120,7 +138,7 @@ def test_render_text_prints_how_a_failing_residual_stands_to_its_bound(line_scen
     measures = list(good.measures)
     measures[1] = tk.AtomicMeasure(np.array([[0.77]]), np.array([1.0]))
     bad = tk.SolenoidMeasureThread(line_scenario, tuple(measures))
-    rows = tk.run_checks(("C07",), line_scenario, bad, _small_cfg())
+    rows = tk.run_checks(("C07",), bad, _small_cfg())
     lines = tk.render_text(rows).splitlines()
     failing = [line for line in lines if line.startswith("  FAIL level 1:")]
     assert len(failing) == 1 and f"residual {rows[0].residual:.3e} > bound 1.000e-10" in failing[0]
@@ -137,15 +155,15 @@ def test_render_text_prints_how_a_failing_residual_stands_to_its_bound(line_scen
     assert "PASS: mass | residual 0.000e+00 <= bound 1.000e-12" in text
 
 
-def test_render_text_contains_verdict(line_scenario, line_uniform_thread):
-    rows = tk.run_checks(("C02",), line_scenario, line_uniform_thread, _small_cfg())
+def test_render_text_contains_verdict(line_uniform_thread):
+    rows = tk.run_checks(("C02",), line_uniform_thread, _small_cfg())
     text = tk.render_text(rows)
     assert "[C02]" in text
     assert "ALL CHECKS PASSED" in text
 
 
-def test_render_json_round_trips(line_scenario, line_uniform_thread):
-    rows = tk.run_checks(("C02", "C03"), line_scenario, line_uniform_thread, _small_cfg())
+def test_render_json_round_trips(line_uniform_thread):
+    rows = tk.run_checks(("C02", "C03"), line_uniform_thread, _small_cfg())
     payload = json.loads(tk.render_json(rows, {"seed": 0}))
     assert payload["overall_pass"] is True
     assert payload["config"] == {"seed": 0}
@@ -166,8 +184,8 @@ def test_render_json_round_trips(line_scenario, line_uniform_thread):
         assert key in first
 
 
-def test_render_csv_has_contract_columns(line_scenario, line_uniform_thread):
-    rows = tk.run_checks(("C02",), line_scenario, line_uniform_thread, _small_cfg())
+def test_render_csv_has_contract_columns(line_uniform_thread):
+    rows = tk.run_checks(("C02",), line_uniform_thread, _small_cfg())
     lines = tk.render_csv(rows).strip().splitlines()
     assert lines[0] == (
         "check_id,level,quantity,value_re,value_im,reference_re,reference_im,"
@@ -243,7 +261,7 @@ def test_kms_residuals_pass_on_a_tower_with_r_1_2000(tower, request):
     big = tk.Scenario(dims=scenario.dims, beta=scenario.beta, levels=levels)
     assert tk.validate_scenario(big) == []
     thread = tk.build_thread(big, kind="uniform")
-    rows = tk.run_checks(("C05",), big, thread, _small_cfg())
+    rows = tk.run_checks(("C05",), thread, _small_cfg())
     assert len(rows) == big.depth
     assert all(np.isfinite(row.residual) and row.status == "pass" for row in rows), rows
 
@@ -252,7 +270,7 @@ def test_positivity_without_defect_samples_is_a_skip(line_scenario, line_point_t
     # the top level has no lattice points, so with no sampled s there is no
     # defect to certify; the row is a skip rather than a pass at +infinity
     cfg = tk.SuiteConfig(samples=2, s_samples=0, moment_box=2)
-    rows = tk.run_checks(("C04",), line_scenario, line_point_thread, cfg)
+    rows = tk.run_checks(("C04",), line_point_thread, cfg)
     top = [r for r in rows if r.level == line_scenario.depth]
     assert [r.status for r in top] == ["pass", "skip"]
     assert all(r.status == "pass" for r in rows if r.level < line_scenario.depth)

@@ -49,6 +49,7 @@ from .suites import (
     ORACLE_TOL,
     SUITES,
     SuiteConfig,
+    _FLOORS,
     overall_pass,
     render_csv,
     render_json,
@@ -288,9 +289,9 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for size, low in (("samples", 1), ("s_samples", 0), ("moment_box", 0)):
-        if getattr(args, size, low) < low:
-            parser.error(f"--{size.replace('_', '-')} must be at least {low}")
+    for option, low in _FLOORS.items():
+        if getattr(args, option, low) < low:
+            parser.error(f"--{option.replace('_', '-')} must be at least {low}")
     try:
         return _COMMANDS[args.command](args)
     except ConstraintViolation as exc:

@@ -87,32 +87,30 @@ def level_constants(scenario: Scenario) -> LevelConstants:
 
 @dataclass(frozen=True)
 class SolenoidMeasureThread:
-    """A scenario together with per-level probability measures mu_1..mu_M."""
+    """Per-level probability measures mu_1..mu_M, with every level's block and nu_m built once."""
 
     scenario: Scenario
     measures: Tuple[TorusMeasure, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
-        object.__setattr__(self, "_states", {})  # level m -> (block, nu_m), see _state
         if len(self.measures) != self.scenario.depth:
             raise ConstraintViolation("thread needs one measure per scenario level")
         for mu in self.measures:
             if mu.d != self.scenario.dims.d:
                 raise ConstraintViolation("thread measure dimension does not match the scenario")
+        blocks = (BlockParams.at_level(self.scenario, m) for m in range(1, self.scenario.depth + 1))
+        states = tuple((b, _normalized_average(mu, b)) for b, mu in zip(blocks, self.measures))
+        object.__setattr__(self, "_states", states)
 
     def measure(self, m: int) -> TorusMeasure:
-        if not 1 <= m <= self.scenario.depth:
-            raise ConstraintViolation(f"level {m} outside 1..{self.scenario.depth}")
+        self.scenario.level(m)  # ValueError outside 1..M
         return self.measures[m - 1]
 
     def _state(self, m: int) -> Tuple[BlockParams, TorusMeasure]:
-        """(block, nu_m) of level m, built on first use, so an invalid block raises only here."""
-        if m not in self._states:
-            mu = self.measure(m)
-            params = BlockParams.at_level(self.scenario, m)
-            self._states[m] = (params, _normalized_average(mu, params))
-        return self._states[m]
+        """(block, nu_m) of level m."""
+        self.scenario.level(m)
+        return self._states[m - 1]
 
 
 def embed_word(w: Word, scenario: Scenario) -> Word:
@@ -252,7 +250,7 @@ def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     """Value of the thread's solenoid state on a single spanning word.
 
     state_eval of normalized_nu(thread, m) on w, where m is the word's level.
-    Raises ConstraintViolation when m is outside the thread's depth.
+    Raises ValueError when m is outside the thread's depth.
     """
     params, nu = thread._state(w.level)
     return state_eval(nu, params, AlgebraElement.from_word(w), check_state=False)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toruskms as tk
+from toruskms import toeplitz_algebra
 from toruskms.cli import main
 
 
@@ -330,6 +331,7 @@ def test_removed_options_exit_two(line_files, capsys, argv):
         (["suite", "--suite", "kms", "--moment-box", "-1"], "--moment-box must be at least 0"),
         (["transform", "--transform", "nu-from-mu", "--moment-box", "-1"],
          "--moment-box must be at least 0"),
+        (["report", "--seed", "-1"], "--seed must be at least 0"),
     ],
 )
 def test_bad_sizes_exit_two_with_one_line(line_files, capsys, argv, message):
@@ -419,29 +421,35 @@ def _one_violation_line(capsys, prefix):
 
 
 def test_consistency_suite_fails_on_nan_theta(tmp_path, capsys):
-    # the input gate stops the command; C07 itself evaluates psi through the
-    # NaN level's block, which raises as it does in C02-C05
+    # the input gate stops the command; in the library, the thread builds the
+    # NaN level's block when it is made, so no check can run on that tower
     bad = _poisoned_planar(tmp_path, "theta")
     args = ["suite", "--scenario", str(bad), "--suite", "consistency", "--samples", "10"]
     assert main(args) == 1
     _one_violation_line(capsys, "level 2: theta has a non-finite entry")
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
-    thread = tk.build_thread(scenario, kind="uniform")
     with pytest.raises(tk.ConstraintViolation, match="level 2: theta, r and beta must be finite"):
-        tk.run_checks(("C07",), thread, tk.SuiteConfig(samples=10))
+        tk.build_thread(scenario, kind="uniform")
 
 
-def test_engine_fuzz_fails_on_nan_theta(tmp_path, monkeypatch):
-    # products under the NaN level keep NaN coefficients, so the fuzz row's
-    # sup distance is NaN and fails instead of passing as 0
+def test_engine_fuzz_fails_on_nan_theta(tmp_path):
+    # no thread, so no C11 run, exists on the NaN tower; the kernels keep the
+    # rule: a product under a NaN theta has NaN coefficients, so its gaps to
+    # any product are NaN, which fails a fuzz row instead of passing as 0
     bad = _poisoned_planar(tmp_path, "theta")
     scenario = tk.scenario_from_json(json.loads(bad.read_text()))
-    thread = tk.build_thread(scenario, kind="uniform")
-    monkeypatch.setattr("toruskms.suites.FUZZ_COUNT", 20)
-    rows = tk.run_checks(["C11"], thread, tk.SuiteConfig())
-    fuzz = rows[0]
-    assert fuzz.quantity.startswith("engine fuzz") and fuzz.status == "fail"
-    assert np.isnan(fuzz.residual)
+    with pytest.raises(tk.ConstraintViolation, match="level 2"):
+        tk.build_thread(scenario, kind="uniform")
+    # one element each: x = U_(1,1) V*_(1,0) and y = V_(0,1) U_(1,-1)
+    one = np.ones((1, 1), complex)
+    x = toeplitz_algebra._batch(*np.array([[[[0, 0]]], [[[1, 1]]], [[[1, 0]]]]), one)
+    y = toeplitz_algebra._batch(*np.array([[[[0, 1]]], [[[1, -1]]], [[[0, 0]]]]), one)
+    theta = scenario.level(2).theta
+    gaps = toeplitz_algebra._gaps(
+        toeplitz_algebra._product(x, y, theta),
+        toeplitz_algebra._product(x, y, np.nan_to_num(theta)),
+    )
+    assert gaps.size and np.isnan(gaps).all()
 
 
 @pytest.mark.parametrize("where", ["theta", "r"])

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script runs to completion against the package source.
+
+Each runs under the warning policy ``pyproject.toml`` sets for the tests, a
+RuntimeWarning is an error, so a demo that starts to warn fails here.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -85,8 +85,9 @@ def _small_fuzz(monkeypatch):
 
 
 def _load(tower):
-    # a fresh thread per test: a thread keeps each level's normalized measure,
-    # so a shared one would carry a mutant's measure into later tests
+    # a fresh thread per test: a thread builds each level's normalized measure
+    # when it is made, so a shared one would carry a mutant's measure into
+    # later tests, and a test of a mutant builds its thread after the patch
     scenario_file, thread_file = TOWERS[tower]
     scenario = tk.scenario_from_json(json.loads((ROOT / scenario_file).read_text()))
     return tk.thread_from_json(json.loads((ROOT / thread_file).read_text()), scenario)
@@ -211,8 +212,8 @@ def test_unmutated_code_passes_every_check(tower):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_fails_its_checks(mutant, tower, monkeypatch):
     module, name, replacement, checks = MUTANTS[mutant]
-    thread = _load(tower)
     _patch(monkeypatch, module, name, replacement)
+    thread = _load(tower)  # as a user of the mutated library would
     rows = tk.run_checks(checks, thread, CFG)
     for check_id in checks:
         assert any(r.status == "fail" for r in rows if r.check_id == check_id), check_id

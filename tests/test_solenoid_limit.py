@@ -154,8 +154,59 @@ def test_psi_vanishes_off_diagonal(line_point_thread):
 
 
 def test_psi_rejects_levels_beyond_depth(line_point_thread):
-    with pytest.raises(tk.ConstraintViolation, match="level 9 outside 1..4"):
+    # a level out of range is bad input (exit 2 in the CLI), not a violated constraint
+    with pytest.raises(ValueError, match="level 9 outside 1..4") as info:
         tk.psi_eval(line_point_thread, tk.Word(p=(0,), n=(0,), q=(0,), level=9))
+    assert not isinstance(info.value, tk.ConstraintViolation)
+
+
+@pytest.mark.parametrize("m", [-1, 0, 5])
+def test_a_level_outside_the_thread_is_bad_input(line_point_thread, m):
+    # _state(0) must not read the top level's state from the end of the tuple
+    calls = [line_point_thread.measure, lambda m: tk.normalized_nu(line_point_thread, m)]
+    if m > 0:
+        word = tk.Word(p=(0,), n=(0,), q=(0,), level=m)
+        calls.append(lambda m: tk.psi_eval(line_point_thread, word))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"level {m} outside 1..4") as info:
+            call(m)
+        assert not isinstance(info.value, tk.ConstraintViolation)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "field, value",
+    [("theta", -1.0), ("theta", np.nan), ("theta", np.inf),
+     ("r", -1.0), ("r", np.nan), ("r", np.inf)],
+)
+def test_no_thread_exists_on_a_tower_with_an_invalid_block(line_scenario, level, field, value):
+    levels = list(line_scenario.levels)
+    parts = {f: getattr(levels[level - 1], f) for f in ("theta", "D", "E", "r")}
+    parts[field] = np.full_like(parts[field], value)
+    levels[level - 1] = tk.LevelData(**parts)
+    bad = tk.Scenario(dims=line_scenario.dims, beta=line_scenario.beta, levels=tuple(levels))
+    good = tk.build_thread(line_scenario, kind="point", y1=[0.3])
+    builds = [
+        lambda: tk.build_thread(bad, kind="uniform"),
+        lambda: tk.build_thread(bad, kind="point", y1=[0.3]),
+        lambda: tk.build_thread(bad, kind="point", points=[mu.points[0] for mu in good.measures]),
+        lambda: tk.build_thread(bad, kind="toplevel", toplevel=good.measure(4)),
+        lambda: tk.thread_from_json({"kind": "point", "y1": [0.3]}, bad),
+        lambda: tk.SolenoidMeasureThread(scenario=bad, measures=good.measures),
+    ]
+    for build in builds:
+        with pytest.raises(tk.ConstraintViolation, match=f"^level {level}: "):
+            build()
+
+
+def test_a_thread_is_complete_when_made(planar_scenario):
+    # evaluating psi and nu_m reads the thread's state and never adds to it
+    thread = tk.build_thread(planar_scenario, kind="point", y1=np.array([0.3, 0.55]))
+    made = pickle.dumps(thread)
+    for m in range(1, 4):
+        tk.normalized_nu(thread, m)
+        tk.psi_eval(thread, tk.Word(p=(1, 0), n=(2, -1), q=(1, 0), level=m))
+    assert pickle.dumps(thread) == made
 
 
 def test_psi_element_linear(line_scenario, line_point_thread):
@@ -235,7 +286,7 @@ def test_sigma_map_intertwines_laplace_averages(line_scenario, line_point_thread
 
 
 def test_a_used_thread_pickles_with_its_psi_values(planar_scenario):
-    # psi_eval caches each level's normalized measure on the thread; its
+    # the thread holds each level's normalized measure from construction; its
     # multipliers are module-level functions bound by functools.partial
     thread = tk.build_thread(planar_scenario, kind="point", y1=np.array([0.3, 0.55]))
     words = [tk.Word(p=(1, 0), n=(2, -1), q=(1, 0), level=m) for m in range(1, 4)]

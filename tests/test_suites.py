@@ -116,6 +116,17 @@ def test_checks_read_the_tower_from_the_thread(line_scenario, line_point_thread)
     )
 
 
+@pytest.mark.parametrize("check_id", tk.SUITES["all"])
+def test_no_check_alone_passes_on_a_tower_with_a_negative_theta(line_scenario, check_id):
+    # C08 samples no tower data and C01, C06, C09-C11 draw their own blocks, so
+    # only the thread's construction can refuse the tower for them
+    levels = list(line_scenario.levels)
+    levels[1] = tk.LevelData(theta=-levels[1].theta, D=levels[1].D, E=levels[1].E, r=levels[1].r)
+    bad = tk.Scenario(dims=line_scenario.dims, beta=line_scenario.beta, levels=tuple(levels))
+    with pytest.raises(tk.ConstraintViolation, match="level 2: theta entries must be nonnegative"):
+        tk.run_checks((check_id,), tk.build_thread(bad, kind="point", y1=[0.3]), _small_cfg())
+
+
 def test_unknown_check_id_rejected(line_uniform_thread):
     with pytest.raises(ValueError):
         tk.run_checks(("C99",), line_uniform_thread, _small_cfg())
@@ -279,10 +290,11 @@ def test_positivity_without_defect_samples_is_a_skip(line_scenario, line_point_t
 
 @pytest.mark.parametrize(
     "size, value",
-    [("samples", 0), ("samples", -3), ("s_samples", -1), ("moment_box", -1)],
+    [("samples", 0), ("samples", -3), ("s_samples", -1), ("moment_box", -1), ("seed", -1)],
 )
 def test_config_sizes_that_check_nothing_are_rejected(size, value):
-    # "over -3 word pairs" or "over 0 word pairs" rows would pass vacuously
+    # "over -3 word pairs" or "over 0 word pairs" rows would pass vacuously, and
+    # a negative seed would fail inside the first check's generator
     with pytest.raises(ValueError, match=f"{size} must be at least"):
         tk.SuiteConfig(**{size: value})
 

@@ -199,6 +199,16 @@ def test_state_eval_checks_normalization():
     assert abs(tk.state_eval(doubled, params, a, check_state=False) - 2.0) < 1e-12
 
 
+def test_state_eval_weight_gate_admits_a_zero_weight_atom():
+    # a probability measure with an atom of weight 0 is a state; a negative weight is not
+    params = tk.BlockParams(theta=np.array([[0.3]]), r=np.array([1.0]), beta=1.0)
+    a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(0,), q=(0,), level=1))
+    points = np.array([[0.2], [0.7]])
+    assert tk.state_eval(tk.AtomicMeasure(points, np.array([1.0, 0.0])), params, a) == 1.0
+    with pytest.raises(ValueError, match="state requires a nonnegative measure"):
+        tk.state_eval(tk.AtomicMeasure(points, np.array([1.2, -0.2])), params, a)
+
+
 def test_kms_residual_vanishes_for_laplace_states():
     rng = np.random.default_rng(4)
     for d, k in ((1, 1), (2, 2)):

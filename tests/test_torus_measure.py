@@ -205,6 +205,24 @@ def test_positivity_rejects_non_hermitian_moments():
         tk.positivity_test(broken)
 
 
+def test_the_hermitian_gate_is_relative_to_the_largest_moment():
+    # 1 + 1e-12j on a measure of mass 1000 leaves a defect of 2e-9, rounding at
+    # that scale: under 1e-9 times the largest moment, over 1e-9 divided by it
+    heavy = tk.AtomicMeasure(np.array([[0.1], [0.4], [0.7]]), np.array([400.0, 350.0, 250.0]))
+    tilted = tk.MultipliedMeasure(heavy, lambda n: 1.0 + 1e-12j, tag="tilt")
+    assert tk.positivity_test(tilted).is_positive
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_refuted_witness_spans_the_whole_box(d):
+    # a negative control: the certificate's matrix is indexed by [0, N]^d, so a
+    # smaller box (say max(N, 1) points a side) shows in the witness's length
+    points = np.array([[0.1, 0.2], [0.6, 0.7]])[:, :d]
+    verdict = tk.positivity_test(tk.AtomicMeasure(points, np.array([1.0, -0.5])), moment_radius=3)
+    assert verdict.kind == "not_positive"
+    assert verdict.eigen_witness.shape == (4**d,)
+
+
 def test_moment_table_shape_and_center():
     rng = np.random.default_rng(8)
     mu = random_atomic(rng, 2)

@@ -51,7 +51,7 @@ for box in (4, 8, default_box):
         closed = tk.state_eval(nu, params, a)
         dense = tk.fock_state_eval(kappa, params, a, trunc)
         worst = max(worst, abs(closed - dense))
-    bound = tk.fock_tail_bound(params, abs(kappa.total_mass()), trunc)
+    bound = trunc.tail_weight(params) * abs(kappa.total_mass())
     print(f"{box:>4} {worst:>24.3e} {bound:>14.3e}")
 print(f"(default box for these parameters: {default_box})")
 

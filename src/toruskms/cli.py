@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .suites import (
     render_csv,
     render_json,
     render_text,
-    run_suite,
+    run_checks,
 )
 from .toeplitz_algebra import parse_word
 from .torus_measure import write_moment_csv
@@ -112,17 +112,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _reject(problems: List[str]) -> None:
+def _checked_inputs(args) -> Tuple[Optional[SolenoidMeasureThread], List[str]]:
+    """The thread and every violation `validate` lists; none is built on an invalid scenario."""
+    scenario = _load_scenario(args.scenario)
+    problems = validate_scenario(scenario)
     if problems:
-        raise ConstraintViolation(problems[0])
+        return None, problems
+    thread = _load_thread(scenario, args.thread)
+    return thread, validate_thread(thread)
 
 
 def _load_inputs(args) -> SolenoidMeasureThread:
-    """The thread on a validated scenario, rejected on the first violation `validate` lists."""
-    scenario = _load_scenario(args.scenario)
-    _reject(validate_scenario(scenario))
-    thread = _load_thread(scenario, args.thread)
-    _reject(validate_thread(thread))
+    """The thread, rejected on the first violation `validate` lists."""
+    thread, problems = _checked_inputs(args)
+    if problems:
+        raise ConstraintViolation(problems[0])
     return thread
 
 
@@ -180,22 +184,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report_options(p, default_format="text"):
-    p.add_argument("--seed", type=int, default=0, help="report seed (default 0)")
-    p.add_argument("--samples", type=int, default=100, help="word samples per check")
-    p.add_argument(
-        "--s-samples", type=int, default=50, help="continuous defect samples per level"
-    )
-    p.add_argument("--moment-box", type=int, default=5, help="moment box radius")
+    defaults = SuiteConfig()  # the one place the four defaults are written
+    for name, text in (
+        ("samples", "word samples per check"),
+        ("s_samples", "continuous defect samples per level"),
+        ("moment_box", "moment box radius"),
+        ("seed", "report seed"),
+    ):
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(defaults, name),
+                       help=f"{text} (default %(default)s)")
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=default_format
     )
 
 
 def _cmd_validate(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    problems = validate_scenario(scenario)
-    if args.thread is not None and not problems:  # a thread is built on a valid scenario only
-        problems = validate_thread(_load_thread(scenario, args.thread))
+    problems = _checked_inputs(args)[1]
     if problems:
         _emit("\n".join(problems) + "\nINVALID\n", args.out)
         return 1
@@ -272,7 +276,7 @@ def _render(rows, args) -> str:
 
 def _cmd_checks(args) -> int:
     """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
-    rows = run_suite(args.suite, _load_inputs(args), _suite_config(args))
+    rows = run_checks(SUITES[args.suite], _load_inputs(args), _suite_config(args))
     _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 

@@ -12,8 +12,8 @@ a route that shares no algebra with the closed form:
   weight times c_m times ``laplace_quadrature``, checking ``psi_eval``.
 * ``fock_state_eval`` sums the diagonal expectation of a word over the
   truncated occupation box [0, P]^k, checking ``state_eval`` with
-  ``nu_from_kappa`` inputs; the truncation error carries an exact geometric
-  tail bound, computed in closed form.
+  ``nu_from_kappa`` inputs; the truncation error is at most the closed-form
+  ``FockTruncation.tail_weight`` times the mass of kappa.
 * ``truncated_inverse_moment`` applies the finite geometric series of
   weighted translations, checking that ``kappa_from_nu`` really inverts the
   resolvent sum within the complement tail weight.
@@ -36,7 +36,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "laplace_quadrature",
     "psi_oracle",
     "fock_state_eval",
-    "fock_tail_bound",
     "truncated_inverse_moment",
     "geometric_tail_fraction",
     "bhs_reconciliation",
@@ -217,16 +216,8 @@ def _truncated_geometric_sum(params: BlockParams, n: np.ndarray, box: int) -> co
     return value
 
 
-def fock_tail_bound(params: BlockParams, kappa_mass: float, trunc: FockTruncation) -> float:
-    """Bound on |full - truncated| diagonal sums: tail weight times ||kappa||."""
-    return trunc.tail_weight(params) * abs(kappa_mass)
-
-
 def fock_state_eval(
-    kappa: TorusMeasure,
-    params: BlockParams,
-    a: AlgebraElement,
-    trunc: Optional[FockTruncation] = None,
+    kappa: TorusMeasure, params: BlockParams, a: AlgebraElement, trunc: FockTruncation
 ) -> complex:
     """Truncated diagonal expectation of an element against kappa.
 
@@ -237,11 +228,9 @@ def fock_state_eval(
 
     summed numerically (the summand factorizes across axes, so the box sum is
     computed as a product of per-axis partial sums, term by term).  Words with
-    p != q contribute exactly 0.  The truncation error obeys
-    ``fock_tail_bound``; the default box pushes the tail weight below 1e-10.
+    p != q contribute exactly 0.  On one word with coefficient 1 the truncation
+    error is at most trunc.tail_weight(params) times ||kappa||.
     """
-    if trunc is None:
-        trunc = FockTruncation.for_params(params)
     total = 0j
     for w, c in a.terms.items():
         if w.p != w.q:

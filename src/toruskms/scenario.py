@@ -244,35 +244,36 @@ def scenario_from_json(obj: dict) -> Scenario:
     """
     if not isinstance(obj, dict):
         raise ValueError("scenario JSON must be an object")
+    # every field is read in here, so a missing or mistyped one is a ValueError
     try:
         dims = Dimensions(d=int(obj["d"]), k=int(obj["k"]))
         beta = float(obj["beta"])
         mode = obj.get("mode", "derive")
         D_seq = [np.asarray(Dm) for Dm in obj["D"]]
         E_seq = [np.asarray(Em) for Em in obj["E"]]
+        if len(D_seq) != len(E_seq) or not D_seq:
+            raise ValueError("scenario JSON needs equally many D and E entries, at least one")
+        if mode == "derive":
+            theta1 = np.asarray(obj["theta1"], dtype=float)
+            r1 = np.asarray(obj["r1"], dtype=float)
+            levels = derive_levels(theta1, r1, D_seq, E_seq)
+        elif mode == "explicit":
+            raw_levels = obj.get("levels")
+            if not isinstance(raw_levels, list) or len(raw_levels) != len(D_seq):
+                raise ValueError('explicit mode needs a "levels" list matching len(D)')
+            levels = tuple(
+                LevelData(
+                    theta=np.asarray(lv["theta"], dtype=float),
+                    D=D_seq[i],
+                    E=E_seq[i],
+                    r=np.asarray(lv["r"], dtype=float),
+                )
+                for i, lv in enumerate(raw_levels)
+            )
+        else:
+            raise ValueError(f'mode must be "derive" or "explicit", got {mode!r}')
     except (KeyError, TypeError) as exc:
         raise ValueError(f"scenario JSON is missing or mistypes a field: {exc}") from exc
-    if len(D_seq) != len(E_seq) or not D_seq:
-        raise ValueError("scenario JSON needs equally many D and E entries, at least one")
-    if mode == "derive":
-        theta1 = np.asarray(obj["theta1"], dtype=float)
-        r1 = np.asarray(obj["r1"], dtype=float)
-        levels = derive_levels(theta1, r1, D_seq, E_seq)
-    elif mode == "explicit":
-        raw_levels = obj.get("levels")
-        if not isinstance(raw_levels, list) or len(raw_levels) != len(D_seq):
-            raise ValueError('explicit mode needs a "levels" list matching len(D)')
-        levels = tuple(
-            LevelData(
-                theta=np.asarray(lv["theta"], dtype=float),
-                D=D_seq[i],
-                E=E_seq[i],
-                r=np.asarray(lv["r"], dtype=float),
-            )
-            for i, lv in enumerate(raw_levels)
-        )
-    else:
-        raise ValueError(f'mode must be "derive" or "explicit", got {mode!r}')
     return Scenario(dims=dims, beta=beta, levels=levels)
 
 

@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .scenario import ConstraintViolation, Scenario
-from .subinvariance import BlockParams, nu_from_mu
+from .subinvariance import BlockParams, _require_nonnegative, nu_from_mu
 from .toeplitz_algebra import AlgebraElement, Word, state_eval
 from .torus_measure import (
     AtomicMeasure,
@@ -136,7 +136,7 @@ def _canonical_point_lift(y1, scenario: Scenario) -> List[np.ndarray]:
 
 def build_thread(
     scenario: Scenario,
-    kind: str = "uniform",
+    kind: str,
     y1=None,
     points: Optional[Sequence] = None,
     toplevel: Optional[TorusMeasure] = None,
@@ -153,9 +153,10 @@ def build_thread(
         the canonical preimage (E_m^T)^(-1) y_m mod 1.  The full preimage set
         at each step is exposed by ``preimage_points``.
     kind="toplevel"
-        ``toplevel`` is the level-M measure; lower levels are its successive
-        dual pushforwards mu_m = pushforward of mu_(m+1) under E_m^T, which is
-        compatible by construction.
+        ``toplevel`` is the level-M probability measure (ConstraintViolation
+        if its dimension, mass or sign is wrong); lower levels are its
+        successive dual pushforwards mu_m = pushforward of mu_(m+1) under
+        E_m^T, which is compatible by construction.
     """
     d = scenario.dims.d
     if kind == "uniform":
@@ -187,6 +188,10 @@ def build_thread(
             raise ConstraintViolation("toplevel measure dimension does not match the scenario")
         if abs(toplevel.total_mass() - 1.0) > 1e-10:
             raise ConstraintViolation("toplevel measure must be a probability measure")
+        try:
+            _require_nonnegative(toplevel)
+        except ValueError as exc:
+            raise ConstraintViolation(f"toplevel measure: {exc}") from exc
         measures = [toplevel]
         for m in range(scenario.depth - 1, 0, -1):
             measures.append(pushforward_dual(measures[-1], scenario.level(m).E))

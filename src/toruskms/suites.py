@@ -25,7 +25,6 @@ from .oracle import (
     bhs_reconciliation,
     fock_element_matrix,
     fock_state_eval,
-    fock_tail_bound,
     geometric_tail_fraction,
     psi_oracle,
     truncated_inverse_moment,
@@ -63,7 +62,6 @@ __all__ = [
     "CHECKS",
     "SUITES",
     "run_checks",
-    "run_suite",
     "overall_pass",
     "render_text",
     "render_json",
@@ -83,7 +81,7 @@ _FLOORS = {"samples": 1, "s_samples": 0, "moment_box": 0, "seed": 0}
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """The report options shared by all checks; a value below its floor raises ValueError."""
+    """The report options and their defaults; a non-int or one below its floor is a ValueError."""
 
     samples: int = 100
     s_samples: int = 50
@@ -92,8 +90,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         for option, low in _FLOORS.items():
-            if getattr(self, option) < low:
-                raise ValueError(f"{option} must be at least {low}, got {getattr(self, option)}")
+            value = getattr(self, option)
+            if type(value) is not int:  # not isinstance, which would take True for 1
+                raise ValueError(f"{option} must be an int, got {value!r}")
+            if value < low:
+                raise ValueError(f"{option} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def _check_fock_agreement(scenario, thread, cfg, rng) -> List[StateReport]:
         trunc = FockTruncation.for_params(params)
         # the tail bound is attained at n = 0, so float rounding on either
         # route can land a hair past it; allow rounding slack
-        bound = fock_tail_bound(params, abs(kappa.total_mass()), trunc) * (1 + 1e-9) + 1e-14
+        bound = trunc.tail_weight(params) * abs(kappa.total_mass()) * (1 + 1e-9) + 1e-14
         tails.append(bound)
         gaps = []
         for j in range(words_per):
@@ -687,14 +688,13 @@ SUITES: Dict[str, Tuple[str, ...]] = {
 
 
 def run_checks(
-    check_ids: Sequence[str], thread: SolenoidMeasureThread, cfg: Optional[SuiteConfig] = None
+    check_ids: Sequence[str], thread: SolenoidMeasureThread, cfg: SuiteConfig
 ) -> List[StateReport]:
     """Run the named checks on the thread and its scenario, in CHECKS order (by check id).
 
     Every check draws from its own generator seeded by (cfg.seed, check
     position), so a check's rows do not depend on the subset requested.
     """
-    cfg = cfg or SuiteConfig()
     wanted = set(check_ids)
     unknown = wanted - {cid for cid, _t, _f in CHECKS}
     if unknown:
@@ -705,14 +705,6 @@ def run_checks(
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
             rows.extend(fn(thread.scenario, thread, cfg, rng))
     return rows
-
-
-def run_suite(
-    name: str, thread: SolenoidMeasureThread, cfg: Optional[SuiteConfig] = None
-) -> List[StateReport]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return run_checks(SUITES[name], thread, cfg)
 
 
 def overall_pass(rows: Sequence[StateReport]) -> bool:
@@ -757,11 +749,11 @@ def _row_dict(row: StateReport) -> dict:
     return dict(zip(_COLUMNS, cells, strict=True))
 
 
-def render_json(rows: Sequence[StateReport], config: Optional[dict] = None) -> str:
+def render_json(rows: Sequence[StateReport], config: dict) -> str:
     import json
 
     payload = {
-        "config": config or {},
+        "config": config,
         "overall_pass": overall_pass(rows),
         "checks": [_row_dict(r) for r in rows],
     }

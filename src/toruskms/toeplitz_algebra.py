@@ -133,8 +133,8 @@ class AlgebraElement:
         self.terms = cleaned
 
     @classmethod
-    def from_word(cls, word: Word, coeff: complex = 1.0) -> "AlgebraElement":
-        return cls(word.level, {word: coeff})
+    def from_word(cls, word: Word) -> "AlgebraElement":
+        return cls(word.level, {word: 1.0})
 
     def sorted_terms(self):
         """Terms in a deterministic order (lexicographic in (p, n, q))."""

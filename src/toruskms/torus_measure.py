@@ -303,9 +303,12 @@ def atomic_from_json(obj: dict) -> AtomicMeasure:
         raise ValueError("atoms must be a non-empty list")
     points = []
     weights = []
-    for entry in atoms:
-        points.append([float(v) for v in entry["x"]])
-        weights.append(float(entry["w"]))
+    for i, entry in enumerate(atoms):
+        try:
+            points.append([float(v) for v in entry["x"]])
+            weights.append(float(entry["w"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f'atom {i} needs an "x" list and a "w" number, got {entry!r}') from exc
     return AtomicMeasure(np.asarray(points), np.asarray(weights))
 
 

@@ -11,8 +11,10 @@ plain ``ValueError``.  Changing the list is an API change.
 ``SETTINGS`` freezes the other half of the surface: every parameter with a
 default of a public callable (a function, a class's constructor, or a public
 method or classmethod of a public class), and every ``SuiteConfig`` field.  A
-setting only the tests set is a constant of the module instead, so a new
-keyword shows here as a one-line diff, as a new name does in ``PUBLIC``.
+setting only the tests set is a constant of the module instead, and a default
+that no caller outside the tests takes is deleted, so that each caller names
+the value; a new keyword shows here as a one-line diff, as a new name does in
+``PUBLIC``.
 
 ``METHODS`` freezes the methods written in the bodies of ``Word`` and
 ``AlgebraElement`` (not those a dataclass generates), so that an added or
@@ -46,15 +48,14 @@ PUBLIC = [
     "apply_dynamics", "atomic_from_json", "bhs_reconciliation", "build_thread",
     "check_subinvariance", "consistency_residual", "defect_measure_cts",
     "defect_measure_finite", "derive_levels", "derive_next_level", "embed_word",
-    "fock_dense_state", "fock_element_matrix", "fock_state_eval", "fock_tail_bound",
-    "fock_word_matrix", "geometric_tail_fraction", "kappa_from_nu", "kms_residual",
-    "laplace_quadrature", "level_constants", "moment_table", "mu_from_nu", "multiply",
-    "normalized_nu", "nu_from_kappa", "nu_from_mu", "numeric_limit_mu", "overall_pass",
-    "parse_word", "positivity_test", "preimage_points", "psi_eval", "psi_oracle",
-    "pushforward_dual", "reduce_mod_1", "render_csv", "render_json", "render_text",
-    "run_checks", "run_suite", "scenario_from_json", "scenario_to_json", "state_eval",
-    "thread_from_json", "truncated_inverse_moment", "validate_scenario", "validate_thread",
-    "write_moment_csv",
+    "fock_dense_state", "fock_element_matrix", "fock_state_eval", "fock_word_matrix",
+    "geometric_tail_fraction", "kappa_from_nu", "kms_residual", "laplace_quadrature",
+    "level_constants", "moment_table", "mu_from_nu", "multiply", "normalized_nu",
+    "nu_from_kappa", "nu_from_mu", "numeric_limit_mu", "overall_pass", "parse_word",
+    "positivity_test", "preimage_points", "psi_eval", "psi_oracle", "pushforward_dual",
+    "reduce_mod_1", "render_csv", "render_json", "render_text", "run_checks",
+    "scenario_from_json", "scenario_to_json", "state_eval", "thread_from_json",
+    "truncated_inverse_moment", "validate_scenario", "validate_thread", "write_moment_csv",
 ]
 
 DELETED = [
@@ -64,25 +65,21 @@ DELETED = [
     "NonNonnegativeTheta", "SingularE", "IncompatibleThread", "InvalidThread", "InvalidBlock",
     "SingularMatrix", "MeetNotZero", "NegativeS", "NegativeInput", "NotSubinvariant",
     "LevelMismatch", "WordParseError", "TopLevel", "ThetaZero",
+    # one-line wrappers: run_checks(SUITES[name], ...) and tail_weight(params) * |mass|
+    "run_suite", "fock_tail_bound",
 ]
 
 SETTINGS = [
-    "AlgebraElement.from_word(coeff=1.0)",
     "SuiteConfig(moment_box=5)",
     "SuiteConfig(s_samples=50)",
     "SuiteConfig(samples=100)",
     "SuiteConfig(seed=0)",
-    "build_thread(kind='uniform')",
     "build_thread(points=None)",
     "build_thread(toplevel=None)",
     "build_thread(y1=None)",
-    "fock_state_eval(trunc=None)",
     "mu_from_nu(check=True)",
     "nu_from_mu(check=True)",
     "positivity_test(moment_radius=5)",
-    "render_json(config=None)",
-    "run_checks(cfg=None)",
-    "run_suite(cfg=None)",
     "state_eval(check_state=True)",
 ]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -671,3 +672,94 @@ def test_a_poisoned_input_never_exits_zero(poison_inputs, case, value, command):
         code = main(argv)
     assert code != 0, (case, value, command, out.getvalue())
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+def test_report_options_default_to_suite_config(line_files, capsys, monkeypatch):
+    # SuiteConfig writes the four defaults once; report --help and the JSON echo read them
+    _root, scenario, _thread = line_files
+    with pytest.raises(SystemExit):
+        main(["report", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for text in ("word samples per check (default 100)",
+                 "continuous defect samples per level (default 50)",
+                 "moment box radius (default 5)", "report seed (default 0)"):
+        assert text in help_text
+    configs = []
+    monkeypatch.setattr("toruskms.cli.run_checks",
+                        lambda check_ids, thread, cfg: configs.append(cfg) or [])
+    assert main(["report", "--scenario", str(scenario)]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]
+    assert configs == [tk.SuiteConfig()]
+    defaults = dataclasses.asdict(tk.SuiteConfig())
+    assert {name: echo[name] for name in defaults} == defaults
+
+
+def test_an_unknown_suite_exits_two(line_files, capsys):
+    _root, scenario, _thread = line_files
+    code, errors = _exit_code_and_errors(
+        ["suite", "--suite", "nope", "--scenario", str(scenario)], capsys
+    )
+    assert code == 2
+    assert len(errors) == 1 and "invalid choice: 'nope'" in errors[0]
+
+
+@pytest.mark.parametrize("atoms, message", [
+    ([{"x": [0.1, 0.2], "w": 1.0}], "dimension does not match the scenario"),
+    ([{"x": [0.1], "w": 0.6}, {"x": [0.7], "w": 0.3}], "must be a probability measure"),
+    ([{"x": [0.1], "w": 1.5}, {"x": [0.7], "w": -0.5}], "negative or complex weights"),
+], ids=["dimension", "mass", "sign"])
+def test_a_toplevel_thread_that_is_no_probability_measure_is_a_violation(
+    tmp_path, capsys, atoms, message
+):
+    thread = tmp_path / "toplevel.json"
+    thread.write_text(json.dumps({"kind": "toplevel", "toplevel_measure": {"atoms": atoms}}))
+    common = ["--scenario", str(SCENARIOS / "line_tower.json"), "--thread", str(thread)]
+    for command in (["validate"], ["state", "--word", WORD],
+                    ["report", "--samples", "5", "--s-samples", "1"]):
+        assert main([*command, *common]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"constraint violated: thread {thread}: toplevel measure")
+        assert message in captured.err
+
+
+def _malformed(case: str):
+    """(file, parsed JSON, text its error names) for one malformed loader input."""
+    line = json.loads((SCENARIOS / "line_tower.json").read_text())
+    if case == "derive scenario without theta1":
+        del line["theta1"]
+        return "scenario", line, "'theta1'"
+    if case == "explicit level without r":
+        explicit = tk.scenario_to_json(tk.scenario_from_json(line))
+        del explicit["levels"][1]["r"]
+        return "scenario", explicit, "'r'"
+    atom = {
+        "atom without w": {"x": [0.7]},
+        "atom that is not an object": [0.7, 0.0],
+        "atom whose x is a scalar": {"x": 0.7, "w": 0.0},
+    }[case]
+    atoms = [{"x": [0.1], "w": 1.0}, atom]
+    return "thread", {"kind": "toplevel", "toplevel_measure": {"atoms": atoms}}, "atom 1"
+
+
+@pytest.mark.parametrize("case", [
+    "derive scenario without theta1", "explicit level without r", "atom without w",
+    "atom that is not an object", "atom whose x is a scalar",
+])
+def test_a_malformed_loader_input_is_bad_input_naming_the_field(tmp_path, capsys, case):
+    target, obj, name = _malformed(case)
+    line = json.loads((SCENARIOS / "line_tower.json").read_text())
+    files = {"scenario": line, "thread": {"kind": "uniform"}, target: obj}
+    with pytest.raises(ValueError, match=name) as info:
+        scenario = tk.scenario_from_json(files["scenario"])
+        tk.thread_from_json(files["thread"], scenario)
+    assert not isinstance(info.value, tk.ConstraintViolation)
+    for key, value in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(value))
+    path = tmp_path / f"{target}.json"
+    assert main(["validate", "--scenario", str(tmp_path / "scenario.json"),
+                 "--thread", str(tmp_path / "thread.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad {target} in {path}: ") and name in captured.err
+    assert captured.err.count("\n") == 1

@@ -134,7 +134,7 @@ def test_fock_sum_matches_frozen_geometric_value():
     word = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(0,), q=(0,), level=1))
     trunc = tk.FockTruncation.for_params(params)
     numeric = tk.fock_state_eval(kappa, params, word, trunc)
-    bound = tk.fock_tail_bound(params, 1.0, trunc)
+    bound = trunc.tail_weight(params)  # times ||kappa|| = 1
     assert abs(numeric - 1.5819767068693265) <= bound * (1 + 1e-9) + 1e-14
 
 
@@ -146,7 +146,7 @@ def test_fock_state_matches_closed_form():
         kappa = random_atomic(rng, d, mass=1.0 / params.partition_value())
         nu = tk.nu_from_kappa(kappa, params)
         trunc = tk.FockTruncation.for_params(params)
-        bound = tk.fock_tail_bound(params, abs(kappa.total_mass()), trunc)
+        bound = trunc.tail_weight(params) * abs(kappa.total_mass())
         for _ in range(6):
             p = tuple(rng.integers(0, 3, k))
             w = tk.Word(p=p, n=tuple(rng.integers(-3, 4, d)), q=p, level=1)
@@ -160,7 +160,8 @@ def test_fock_state_off_diagonal_is_exact_zero():
     params = tk.BlockParams(theta=np.array([[0.3]]), r=np.array([1.0]), beta=1.0)
     kappa = tk.AtomicMeasure(np.array([[0.1]]), np.array([1.0]))
     w = tk.Word(p=(2,), n=(1,), q=(1,), level=1)
-    assert tk.fock_state_eval(kappa, params, tk.AlgebraElement.from_word(w)) == 0j
+    trunc = tk.FockTruncation.for_params(params)
+    assert tk.fock_state_eval(kappa, params, tk.AlgebraElement.from_word(w), trunc) == 0j
 
 
 def test_truncated_inverse_recovers_nu_within_tail():
@@ -230,8 +231,8 @@ def test_dense_matrices_multiply_like_the_engine():
             q=tuple(rng.integers(0, 2, k)),
             level=1,
         )
-        a = tk.AlgebraElement.from_word(wa, complex(rng.normal(), rng.normal()))
-        b = tk.AlgebraElement.from_word(wb, complex(rng.normal(), rng.normal()))
+        a = tk.AlgebraElement(1, {wa: complex(rng.normal(), rng.normal())})
+        b = tk.AlgebraElement(1, {wb: complex(rng.normal(), rng.normal())})
         mat = tk.fock_element_matrix(tk.multiply(a, b, params.theta), params, kappa, box)
         two_step = tk.fock_element_matrix(a, params, kappa, box) @ tk.fock_element_matrix(
             b, params, kappa, box

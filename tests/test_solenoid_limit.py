@@ -63,24 +63,23 @@ def test_embedding_is_multiplicative(line_scenario, planar_scenario):
         theta_lo = sc.level(1).theta
         theta_hi = sc.level(2).theta
         for _ in range(25):
-            a = tk.AlgebraElement.from_word(
+            # the dict display draws the word, then its coefficient
+            a = tk.AlgebraElement(1, {
                 tk.Word(
                     p=tuple(rng.integers(0, 3, k)),
                     n=tuple(rng.integers(-2, 3, d)),
                     q=tuple(rng.integers(0, 3, k)),
                     level=1,
-                ),
-                complex(rng.normal(), rng.normal()),
-            )
-            b = tk.AlgebraElement.from_word(
+                ): complex(rng.normal(), rng.normal()),
+            })
+            b = tk.AlgebraElement(1, {
                 tk.Word(
                     p=tuple(rng.integers(0, 3, k)),
                     n=tuple(rng.integers(-2, 3, d)),
                     q=tuple(rng.integers(0, 3, k)),
                     level=1,
-                ),
-                complex(rng.normal(), rng.normal()),
-            )
+                ): complex(rng.normal(), rng.normal()),
+            })
             lifted = tk.multiply(_embed(a, sc), _embed(b, sc), theta_hi)
             direct = _embed(tk.multiply(a, b, theta_lo), sc)
             assert lifted.sup_coefficient_distance(direct) < 1e-12
@@ -88,7 +87,7 @@ def test_embedding_is_multiplicative(line_scenario, planar_scenario):
 
 def test_embedding_commutes_with_adjoint(line_scenario):
     w = tk.Word(p=(1,), n=(-2,), q=(0,), level=1)
-    a = tk.AlgebraElement.from_word(w, 0.5 + 0.25j)
+    a = tk.AlgebraElement(w.level, {w: 0.5 + 0.25j})
     one = tk.adjoint(_embed(a, line_scenario))
     two = _embed(tk.adjoint(a), line_scenario)
     assert one.sup_coefficient_distance(two) < 1e-15
@@ -119,6 +118,25 @@ def test_explicit_point_thread_rejects_incompatible(line_scenario):
             kind="point",
             points=[np.array([0.3]), np.array([0.11]), np.array([0.3]), np.array([0.3])],
         )
+
+
+# flaw -> (atoms of a top-level measure on the line tower, build_thread's message)
+TOPLEVEL_FLAWS = {
+    "dimension": (({"x": [0.1, 0.2], "w": 1.0},), "dimension does not match the scenario"),
+    "mass": (({"x": [0.1], "w": 0.6}, {"x": [0.7], "w": 0.3}), "must be a probability measure"),
+    # mass 1, but psi's Gram matrix on V_e U_n V*_e has a negative eigenvalue
+    "sign": (({"x": [0.1], "w": 1.5}, {"x": [0.7], "w": -0.5}), "negative or complex weights"),
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(TOPLEVEL_FLAWS))
+def test_toplevel_thread_rejects_a_measure_that_is_no_probability_on_the_torus(
+    line_scenario, flaw
+):
+    atoms, message = TOPLEVEL_FLAWS[flaw]
+    top = tk.atomic_from_json({"atoms": list(atoms)})
+    with pytest.raises(tk.ConstraintViolation, match=f"toplevel measure.*{message}"):
+        tk.build_thread(line_scenario, kind="toplevel", toplevel=top)
 
 
 def test_toplevel_thread_pushes_down(planar_scenario):

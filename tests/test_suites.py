@@ -103,7 +103,6 @@ def test_checks_read_the_tower_from_the_thread(line_scenario, line_point_thread)
     # the thread is the one input, so C02-C04 cannot take their blocks from one
     # tower while C05, C07 and C12 evaluate the state on the thread's own
     assert list(inspect.signature(tk.run_checks).parameters) == ["check_ids", "thread", "cfg"]
-    assert list(inspect.signature(tk.run_suite).parameters) == ["name", "thread", "cfg"]
     hot = tk.Scenario(dims=line_scenario.dims, beta=3.0, levels=line_scenario.levels)
     thread = tk.build_thread(hot, kind="point", y1=np.array([0.3]))
     rows = tk.run_checks(tk.SUITES["all"], thread, _small_cfg())
@@ -130,8 +129,6 @@ def test_no_check_alone_passes_on_a_tower_with_a_negative_theta(line_scenario, c
 def test_unknown_check_id_rejected(line_uniform_thread):
     with pytest.raises(ValueError):
         tk.run_checks(("C99",), line_uniform_thread, _small_cfg())
-    with pytest.raises(ValueError):
-        tk.run_suite("nope", line_uniform_thread, _small_cfg())
 
 
 def test_corrupted_thread_fails_consistency(line_scenario):
@@ -290,12 +287,15 @@ def test_positivity_without_defect_samples_is_a_skip(line_scenario, line_point_t
 
 @pytest.mark.parametrize(
     "size, value",
-    [("samples", 0), ("samples", -3), ("s_samples", -1), ("moment_box", -1), ("seed", -1)],
+    [("samples", 0), ("samples", -3), ("s_samples", -1), ("moment_box", -1), ("seed", -1),
+     ("samples", 2.5), ("moment_box", 2.0), ("s_samples", float("nan")), ("samples", True)],
 )
 def test_config_sizes_that_check_nothing_are_rejected(size, value):
-    # "over -3 word pairs" or "over 0 word pairs" rows would pass vacuously, and
-    # a negative seed would fail inside the first check's generator
-    with pytest.raises(ValueError, match=f"{size} must be at least"):
+    # "over -3 word pairs" or "over 0 word pairs" rows would pass vacuously, a
+    # negative seed would fail inside the first check's generator, and a size
+    # that is not an int would fail inside a check with a TypeError
+    message = "must be at least" if type(value) is int else "must be an int"
+    with pytest.raises(ValueError, match=f"{size} {message}"):
         tk.SuiteConfig(**{size: value})
 
 

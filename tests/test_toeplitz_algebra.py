@@ -154,7 +154,7 @@ def test_dynamics_group_law_and_kms_twist():
     rng = np.random.default_rng(2)
     r = np.array([0.8, 1.3])
     w = tk.Word(p=(2, 0), n=(1, 1), q=(0, 1), level=1)
-    a = tk.AlgebraElement.from_word(w, 1.5 - 0.5j)
+    a = tk.AlgebraElement(w.level, {w: 1.5 - 0.5j})
     one = tk.apply_dynamics(tk.apply_dynamics(a, 0.7, r), -1.9, r)
     two = tk.apply_dynamics(a, -1.2, r)
     assert one.sup_coefficient_distance(two) < 1e-14
@@ -168,7 +168,7 @@ def test_dynamics_group_law_and_kms_twist():
 
 def test_dynamics_fixes_diagonal_words():
     r = np.array([1.0])
-    a = tk.AlgebraElement.from_word(tk.Word(p=(2,), n=(3,), q=(2,), level=1), 2.0)
+    a = tk.AlgebraElement(1, {tk.Word(p=(2,), n=(3,), q=(2,), level=1): 2.0})
     moved = tk.apply_dynamics(a, 5.3, r)
     assert moved.sup_coefficient_distance(a) < 1e-15
 

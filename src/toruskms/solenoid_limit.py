@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .scenario import ConstraintViolation, Scenario
 from .subinvariance import BlockParams, _require_nonnegative, nu_from_mu
-from .toeplitz_algebra import AlgebraElement, Word, state_eval
+from .toeplitz_algebra import Word, _split, _state_values
 from .torus_measure import (
     AtomicMeasure,
     MultipliedMeasure,
@@ -87,7 +86,12 @@ def level_constants(scenario: Scenario) -> LevelConstants:
 
 @dataclass(frozen=True)
 class SolenoidMeasureThread:
-    """Per-level probability measures mu_1..mu_M, with every level's block and nu_m built once."""
+    """Per-level probability measures mu_1..mu_M, with every level's block and nu_m built once.
+
+    A measure of the wrong dimension or a signed one (by the sign gate that
+    nu_from_mu applies) is a ConstraintViolation; a measure whose mass is not
+    finite is left to validate_thread, which lists it.
+    """
 
     scenario: Scenario
     measures: Tuple[TorusMeasure, ...]
@@ -96,9 +100,14 @@ class SolenoidMeasureThread:
         object.__setattr__(self, "measures", tuple(self.measures))
         if len(self.measures) != self.scenario.depth:
             raise ConstraintViolation("thread needs one measure per scenario level")
-        for mu in self.measures:
+        for m, mu in enumerate(self.measures, 1):
             if mu.d != self.scenario.dims.d:
                 raise ConstraintViolation("thread measure dimension does not match the scenario")
+            try:
+                if np.isfinite(mu.total_mass()):
+                    _require_nonnegative(mu)
+            except ValueError as exc:
+                raise ConstraintViolation(f"level {m} measure: {exc}") from exc
         blocks = (BlockParams.at_level(self.scenario, m) for m in range(1, self.scenario.depth + 1))
         states = tuple((b, _normalized_average(mu, b)) for b, mu in zip(blocks, self.measures))
         object.__setattr__(self, "_states", states)
@@ -115,13 +124,35 @@ class SolenoidMeasureThread:
 
 def embed_word(w: Word, scenario: Scenario) -> Word:
     """The level-(m+1) image (D_m p, E_m n, D_m q) of a level-m word."""
-    m = w.level
+    p, n, q = _split(_embedded(scenario, w.level, _row(w, scenario)), scenario.dims.k)
+    return Word(p=tuple(p[0].tolist()), n=tuple(n[0].tolist()), q=tuple(q[0].tolist()),
+                level=w.level + 1)
+
+
+def _row(w: Word, scenario: Scenario) -> np.ndarray:
+    """The word as a one-row (1, 2k + d) array laid out [p | n | q]; ValueError unless k x d."""
+    k, d = scenario.dims.k, scenario.dims.d
+    if len(w.p) != k or len(w.n) != d:
+        raise ValueError(f"the word must have k = {k} and d = {d}")
+    return np.array([w.p + w.n + w.q], np.int64)
+
+
+def _embedded(scenario: Scenario, m: int, words) -> np.ndarray:
+    """The level-(m+1) images (D_m p, E_m n, D_m q) of level-m word rows [p | n | q].
+
+    Raises ValueError at the top level, and where an image has an entry of
+    2**62 or more in modulus, as Word does.
+    """
     if m >= scenario.depth:
         raise ValueError(f"level {m} word cannot embed beyond depth {scenario.depth}")
-    # in Python ints, so that Word rejects an entry at 2**62 instead of int64 wrapping it
-    D, E = scenario.level(m).D.tolist(), scenario.level(m).E.tolist()
-    p, q = (tuple(map(mul, D, v)) for v in (w.p, w.q))
-    return Word(p=p, n=tuple(sum(map(mul, row, w.n)) for row in E), q=q, level=m + 1)
+    lvl = scenario.level(m)
+    # in Python ints, so that an entry at 2**62 is rejected instead of int64 wrapping it
+    p, n, q = _split(words.astype(object), scenario.dims.k)
+    D = lvl.D.astype(object)
+    up = np.concatenate((p * D, n @ lvl.E.T.astype(object), q * D), 1)
+    if up.size and np.max(np.abs(up)) >= 2**62:
+        raise ValueError("word exponents must be below 2**62 in modulus")
+    return up.astype(np.int64)
 
 
 def _canonical_point_lift(y1, scenario: Scenario) -> List[np.ndarray]:
@@ -202,11 +233,26 @@ def build_thread(
 
 
 def thread_from_json(obj: dict, scenario: Scenario) -> SolenoidMeasureThread:
-    """Load a thread from parsed {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}."""
+    """Load a thread from parsed {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}.
+
+    A "y1" that is not a number list, or "points" that is not a list of
+    them, is a ValueError that names the field.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('thread JSON must be an object with a "kind" field')
     top = obj.get("toplevel_measure") if obj["kind"] == "toplevel" else None
-    return build_thread(scenario, kind=obj["kind"], y1=obj.get("y1"), points=obj.get("points"),
+    y1, points = obj.get("y1"), obj.get("points")
+    try:
+        y1 = None if y1 is None else np.asarray(y1, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'thread field "y1" must be a list of numbers, got {y1!r}') from exc
+    try:
+        points = None if points is None else [np.asarray(p, dtype=float) for p in points]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f'thread field "points" must be a list of number lists, got {points!r}'
+        ) from exc
+    return build_thread(scenario, kind=obj["kind"], y1=y1, points=points,
                         toplevel=None if top is None else atomic_from_json(top))
 
 
@@ -257,8 +303,18 @@ def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     state_eval of normalized_nu(thread, m) on w, where m is the word's level.
     Raises ValueError when m is outside the thread's depth.
     """
-    params, nu = thread._state(w.level)
-    return state_eval(nu, params, AlgebraElement.from_word(w), check_state=False)
+    row = _row(w, thread.scenario)
+    if w.p != w.q:  # the factor [p == q]: no state pass needed
+        thread._state(w.level)  # ValueError outside 1..M
+        return 0j
+    return complex(_psi_values(thread, w.level, row)[0])
+
+
+def _psi_values(thread: SolenoidMeasureThread, m: int, words) -> np.ndarray:
+    """psi of each level-m word row [p | n | q] of a (B, 2k + d) array, in one state pass."""
+    params, nu = thread._state(m)
+    live = np.ones((len(words), 1), bool)
+    return _state_values(nu, params, (words[:, None], live.astype(complex), live))
 
 
 def consistency_residual(thread: SolenoidMeasureThread, w: Word) -> float:
@@ -268,7 +324,13 @@ def consistency_residual(thread: SolenoidMeasureThread, w: Word) -> float:
     matches the moments, so the embedding preserves psi exactly.  A word at
     the top level raises ValueError.
     """
-    return abs(psi_eval(thread, embed_word(w, thread.scenario)) - psi_eval(thread, w))
+    return float(_consistency_residuals(thread, w.level, _row(w, thread.scenario))[0])
+
+
+def _consistency_residuals(thread: SolenoidMeasureThread, m: int, words) -> np.ndarray:
+    """consistency_residual of each level-m word row [p | n | q] of a (B, 2k + d) array."""
+    up = _embedded(thread.scenario, m, words)
+    return np.abs(_psi_values(thread, m + 1, up) - _psi_values(thread, m, words))
 
 
 def preimage_points(y, E) -> np.ndarray:

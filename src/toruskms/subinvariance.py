@@ -137,7 +137,7 @@ def _laplace_factors(params: BlockParams, N) -> np.ndarray:
 def _factor_product(factors, invert: bool, params: BlockParams, N) -> np.ndarray:
     """prod_j of the factors (or their reciprocals) at each index; a partial of it pickles."""
     values = factors(params, N)
-    return np.prod(1.0 / values if invert else values, axis=1)
+    return np.multiply.reduce(1.0 / values if invert else values, axis=1)  # np.prod without its wrapper
 
 
 def nu_from_mu(mu: TorusMeasure, params: BlockParams, check: bool = True) -> MultipliedMeasure:

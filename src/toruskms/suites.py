@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,10 +31,10 @@ from .oracle import (
 from .scenario import Scenario
 from .solenoid_limit import (
     SolenoidMeasureThread,
+    _consistency_residuals,
     _normalized_average,
-    consistency_residual,
+    _psi_values,
     normalized_nu,
-    psi_eval,
 )
 from .subinvariance import (
     BlockParams,
@@ -318,12 +317,10 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
         mu_m = thread.measure(m)
         nu = nu_from_mu(mu_m, params, check=False)
         verdict = certify(nu)
-        # the Fejer density is a Rayleigh quotient of the moment matrix, so the
-        # min of the two named here is the spectrum floor; the text is frozen
         rows.append(
             _positivity_row(
                 m,
-                "nu_mu positivity certificate (min of Fejer density, moment matrix spectrum)"
+                "nu_mu positivity certificate (least moment-matrix eigenvalue)"
                 if verdict.is_positive
                 else f"nu_mu positivity certificate: {verdict.describe()}",
                 -verdict.min_eigenvalue,
@@ -378,7 +375,7 @@ def _check_kms_residuals(scenario, thread, cfg, rng) -> List[StateReport]:
         p, n, q = (np.where(swap, x[m - 1, :, ::-1], x[m - 1]) for x in parts)
         ones = np.ones((cfg.samples, 1), complex)
         a, b = (engine._batch(p[:, j], n[:, j], q[:, j], ones) for j in (0, 1))
-        residuals = engine._kms_residuals(cycle((nu_m, nu_rand)), params, a, b, m)
+        residuals = engine._kms_residuals((nu_m, nu_rand), params, a, b)
         rows.append(
             _residual_row(
                 "C05", m,
@@ -441,16 +438,17 @@ def _check_level_consistency(scenario, thread, cfg, rng) -> List[StateReport]:
     rows = []
     k, d = scenario.dims.k, scenario.dims.d
     for m in range(1, scenario.depth):
-        words = []
+        words = []  # rows [p | n | q] of level-m words
         for _ in range(cfg.samples):
             diagonal, p = rng.integers(0, 2), _ints(rng, 0, 4, k)
             q = p if diagonal else _ints(rng, 0, 4, k)
-            words.append(Word(p=p, n=_ints(rng, -3, 4, d), q=q, level=m))
+            words.append(p + _ints(rng, -3, 4, d) + q)
+        residuals = _consistency_residuals(thread, m, np.array(words, np.int64))
         rows.append(
             _residual_row(
                 "C07", m,
                 f"max |psi(embedded word) - psi(word)| over {cfg.samples} words",
-                _worst([consistency_residual(thread, w) for w in words]), ENGINE_TOL,
+                _worst(residuals), ENGINE_TOL,
             )
         )
     return rows
@@ -576,31 +574,32 @@ def _check_engine_fuzz(scenario, thread, cfg, rng) -> List[StateReport]:
     dense_pq = rng.integers(0, 2, size=(20, 2, 1, 2, k))
     dense_ns = rng.integers(-2, 3, size=(20, 2, 1, d))
     dense_coeffs = rng.normal(size=(20, 2, 1, 2)).view(complex)[..., 0]
-    p, q, gaps = pq[:, :, 0], pq[:, :, 1], []
-    for m in range(1, scenario.depth + 1):
-        # instance i is at level 1 + i % depth: one kernel call per stage and level
-        lvl, i = scenario.level(m), slice(m - 1, None, scenario.depth)
-        mul = lambda x, y: engine._product(x, y, lvl.theta)
-        flow = lambda x, t: engine._dynamics(x, t.astype(complex), lvl.r)
-        a, b, c = (engine._batch(*(x[i, j:j + 2] for x in (p, ns, q, coeffs))) for j in (0, 2, 4))
-        (t1, t2), ab, a_t1 = ts[i].T, mul(a, b), flow(a, ts[i, 0])
-        gaps += [
-            engine._gaps(mul(ab, c), mul(a, mul(b, c))),
-            engine._gaps(engine._adjoint(ab, k), mul(engine._adjoint(b, k), engine._adjoint(a, k))),
-            engine._gaps(flow(a_t1, t2), flow(a, t1 + t2)),
-            engine._gaps(flow(ab, t1), mul(a_t1, flow(b, t1))),
-        ]
-        # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n, with the
-        # reference phase formed per instance by numpy, apart from the engine
-        p_v, n_u, one = p[i, 6:], ns[i, 6:], np.ones((len(ts[i]), 1), complex)
-        u_word = engine._batch(0 * p_v, n_u, 0 * p_v, one)
-        v_word = engine._batch(p_v, 0 * n_u, 0 * p_v, one)
-        phase = np.array([
-            complex(np.exp(2j * np.pi * float(np.asarray(p, dtype=float) @ (
-                np.mod(lvl.theta, 1.0) @ np.asarray(n, dtype=float)))))
-            for p, n in zip(pq[i, 6, 0].tolist(), ns[i, 6].tolist())
-        ])
-        gaps.append(engine._gaps(mul(u_word, v_word), engine._scaled(mul(v_word, u_word), phase)))
+    # instance i is at level 1 + i % depth: one kernel call per stage, with its own theta and r
+    levels = [scenario.level(m) for m in range(1, scenario.depth + 1)]
+    at = np.arange(count) % scenario.depth
+    theta, r = np.stack([lvl.theta for lvl in levels])[at], np.stack([lvl.r for lvl in levels])[at]
+    mul = lambda x, y: engine._product(x, y, theta)
+    flow = lambda x, t: engine._dynamics(x, t.astype(complex), r)
+    p, q = pq[:, :, 0], pq[:, :, 1]
+    a, b, c = (engine._batch(*(x[:, j:j + 2] for x in (p, ns, q, coeffs))) for j in (0, 2, 4))
+    (t1, t2), ab, a_t1 = ts.T, mul(a, b), flow(a, ts[:, 0])
+    gaps = [
+        engine._gaps(mul(ab, c), mul(a, mul(b, c))),
+        engine._gaps(engine._adjoint(ab, k), mul(engine._adjoint(b, k), engine._adjoint(a, k))),
+        engine._gaps(flow(a_t1, t2), flow(a, t1 + t2)),
+        engine._gaps(flow(ab, t1), mul(a_t1, flow(b, t1))),
+    ]
+    # rotation relation: U_n V_p = e^(2 pi i p.theta n) V_p U_n, with the
+    # reference phase formed per instance by numpy, apart from the engine
+    p_v, n_u, one = p[:, 6:], ns[:, 6:], np.ones((count, 1), complex)
+    u_word = engine._batch(0 * p_v, n_u, 0 * p_v, one)
+    v_word = engine._batch(p_v, 0 * n_u, 0 * p_v, one)
+    phase = np.array([
+        complex(np.exp(2j * np.pi * float(np.asarray(p, dtype=float) @ (
+            np.mod(levels[m].theta, 1.0) @ np.asarray(n, dtype=float)))))
+        for p, n, m in zip(pq[:, 6, 0].tolist(), ns[:, 6].tolist(), at.tolist())
+    ])
+    gaps.append(engine._gaps(mul(u_word, v_word), engine._scaled(mul(v_word, u_word), phase)))
     gaps = np.concatenate(gaps).tolist()
     rows = [
         _residual_row(
@@ -650,11 +649,12 @@ def _check_psi_oracle(scenario, thread, cfg, rng) -> List[StateReport]:
     rows = []
     k, d = scenario.dims.k, scenario.dims.d
     for m in range(1, scenario.depth + 1):
-        gaps = []
+        words = []
         for _ in range(10):
             p = _ints(rng, 0, 3, k)
-            w = Word(p=p, n=_ints(rng, -3, 4, d), q=p, level=m)
-            gaps.append(abs(psi_eval(thread, w) - psi_oracle(thread, w)))
+            words.append(Word(p=p, n=_ints(rng, -3, 4, d), q=p, level=m))
+        psi = _psi_values(thread, m, np.array([w.p + w.n + w.q for w in words], np.int64))
+        gaps = [abs(value - psi_oracle(thread, w)) for value, w in zip(psi, words)]
         quantity = "max |psi - quadrature| over 10 diagonal words"
         rows.append(_residual_row("C12", m, quantity, _worst(gaps), ORACLE_TOL))
     return rows

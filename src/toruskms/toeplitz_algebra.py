@@ -31,7 +31,14 @@ the torus, the associated equilibrium functional is
     phi(V_p U_n V*_q) = [p == q] e^(-beta p.r) moment(nu, n),
 
 and kms_residual measures |phi(ab) - phi(b alpha_{i beta}(a))|, which vanishes
-identically for this functional whatever nu is.
+identically for this functional whatever nu is.  The functional is evaluated
+on a batch as well: the live diagonal terms of all B elements go to one
+nu.moments call and one np.exp of their weights -beta p.r (p.r by the
+left-to-right dot), then each element's terms c e^(-beta p.r) moment(nu, n)
+are formed by the real-operation product and added from 0 in slot order.
+state_eval is the case B = 1.  The weights and the sums are element by element,
+but a batch of moments rounds through other BLAS kernels than one index does,
+so a batched value may differ from its one-element value in the last bits.
 """
 
 from __future__ import annotations
@@ -158,7 +165,9 @@ class AlgebraElement:
 def _cmul(a, b):
     """The complex array a b, in separate real operations as CPython forms a complex product."""
     re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
-    return np.stack(np.broadcast_arrays(re, im), -1).view(complex)[..., 0]
+    out = np.empty(np.shape(re), complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _dot(x, y):
@@ -206,9 +215,9 @@ def _merge(x):
     """Each like word's coefficients added into its first live slot, left to right in slot order."""
     w, c, live = x
     b, s = np.nonzero(live)
+    order = np.lexsort((*w[b, s].T[::-1], b))  # stable: each word's slots stay in slot order
+    b, s = b[order], s[order]
     rows = w[b, s]
-    order = np.lexsort((*rows.T[::-1], b))  # stable: each word's slots stay in slot order
-    b, s, rows = b[order], s[order], rows[order]
     new = np.ones(len(b), bool)
     new[1:] = (b[1:] != b[:-1]) | (rows[1:] != rows[:-1]).any(1)
     first, sums = np.flatnonzero(new), np.zeros(new.sum(), complex)
@@ -312,6 +321,7 @@ def state_eval(
     enforces the cheap part (mass within 1e-8 of 1, nonnegative weights when
     atomic) and can be disabled for functional identities that hold for
     arbitrary nu.  Full positivity certification is positivity_test's job.
+    Raises ValueError unless every word is k x d for the block and nu.
     """
     if check_state:
         mass = nu.total_mass()
@@ -321,13 +331,24 @@ def state_eval(
             np.max(np.abs(nu.weights.imag)) > 1e-10 or np.min(nu.weights.real) < -1e-10
         ):
             raise ValueError("state requires a nonnegative measure")
-    total = 0j
-    for w, c in a.terms.items():
-        if w.p != w.q:
-            continue
-        gap = float(np.asarray(w.p, dtype=np.int64) @ params.r)
-        total += c * np.exp(-params.beta * gap) * nu.moment(np.asarray(w.n, dtype=np.int64))
-    return complex(total)
+    return complex(_state_values(nu, params, _pack([a], len(params.r), nu.d))[0])
+
+
+def _state_values(nu, params, x):
+    """state_eval of each element of a batch, without the state checks.
+
+    The live diagonal terms go to one nu.moments call and one np.exp of their
+    weights; each element's terms are then added from 0 in slot order.
+    """
+    w, c, live = x
+    k = len(params.r)
+    b, s = (live & (w[..., :k] == w[..., w.shape[-1] - k:]).all(-1)).nonzero()
+    rows = w[b, s]
+    weights = np.exp(-params.beta * _dot(rows[:, :k], params.r))
+    terms = _cmul(c[b, s] * weights, nu.moments(rows[:, k:rows.shape[1] - k]))
+    total = np.zeros(len(c), complex)
+    np.add.at(total, b, terms)  # unbuffered: in index order, so slot order
+    return total
 
 
 def kms_residual(
@@ -341,15 +362,18 @@ def kms_residual(
     if a.level != b.level:
         raise ValueError(f"levels {a.level} and {b.level} differ")
     k, d = params.theta.shape
-    return _kms_residuals([nu], params, _pack([a], k, d), _pack([b], k, d), a.level)[0]
+    return float(_kms_residuals([nu], params, _pack([a], k, d), _pack([b], k, d))[0])
 
 
-def _kms_residuals(states, params, a, b, level):
-    """kms_residual of each pair a[i], b[i] of two batches at level, with the state states[i]."""
-    k, twist = params.theta.shape[0], _dynamics(a, 1j * params.beta, params.r)
-    ab, twisted = (_unpack(_product(x, y, params.theta), level, k) for x, y in ((a, b), (b, twist)))
-    phi = lambda nu, x: state_eval(nu, params, x, check_state=False)
-    return [abs(phi(nu, x) - phi(nu, y)) for nu, x, y in zip(states, ab, twisted)]
+def _kms_residuals(states, params, a, b):
+    """kms_residual of each pair a[i], b[i] of two batches, with the state states[i % len(states)]."""
+    twist = _dynamics(a, 1j * params.beta, params.r)
+    ab, twisted = _product(a, b, params.theta), _product(b, twist, params.theta)
+    out, step = np.empty(len(a[1])), len(states)
+    for j, nu in enumerate(states):  # each state on its own slice of the pairs
+        x, y = (tuple(part[j::step] for part in z) for z in (ab, twisted))
+        out[j::step] = np.abs(_state_values(nu, params, x) - _state_values(nu, params, y))
+    return out
 
 
 _WORD_RE = re.compile(

@@ -227,9 +227,9 @@ class PositivityVerdict:
     """Outcome of the moment-matrix positivity certificate.
 
     kind is "positive" or "not_positive".  min_eigenvalue is the smallest
-    eigenvalue of the moment matrix on [0, moment_radius]^d; it bounds the
-    Fejer-smoothed density of that order from below (see the module
-    docstring).  On failure eigen_witness is the eigenvector realising it.
+    eigenvalue of the moment matrix on [0, moment_radius]^d, the only quantity
+    the certificate computes.  On failure eigen_witness is an eigenvector of
+    that matrix for its smallest eigenvalue; on success it is None.
     """
 
     kind: str
@@ -267,11 +267,11 @@ def positivity_test(lam: TorusMeasure, *, moment_radius: int = 5) -> PositivityV
     Returns
     -------
     PositivityVerdict
-        "positive" when the moment matrix on [0, N]^d is positive
-        semidefinite to within the constant POSITIVITY_TOL (1e-8), otherwise
-        "not_positive" with the eigenvector of its smallest eigenvalue.  The
-        Fejer density of order N is a Rayleigh quotient of that matrix
-        (module docstring).
+        "positive" when the least eigenvalue of the moment matrix on [0, N]^d
+        is at least -POSITIVITY_TOL (1e-8), otherwise "not_positive" with the
+        eigenvector of its smallest eigenvalue.  Eigenvectors are computed
+        for a refutation only.  The Fejer density of order N is a Rayleigh
+        quotient of that matrix (module docstring).
     """
     d = lam.d
     N = int(moment_radius)
@@ -283,13 +283,14 @@ def positivity_test(lam: TorusMeasure, *, moment_radius: int = 5) -> PositivityV
             f"moments are not Hermitian-symmetric (defect {sym_defect:.3e}); "
             "positivity is defined for real measures"
         )
-    eigvals, eigvecs = np.linalg.eigh(_moment_matrix(table, N))
-    min_eig = float(eigvals[0])
+    matrix = _moment_matrix(table, N)
+    min_eig = float(np.linalg.eigvalsh(matrix)[0])
     ok = min_eig >= -POSITIVITY_TOL
     return PositivityVerdict(
         kind="positive" if ok else "not_positive",
         min_eigenvalue=min_eig,
-        eigen_witness=None if ok else eigvecs[:, 0],
+        # only a refutation needs its eigenvector, so only then the full decomposition
+        eigen_witness=None if ok else np.linalg.eigh(matrix)[1][:, 0],
         moment_radius=N,
     )
 

@@ -733,6 +733,9 @@ def _malformed(case: str):
         explicit = tk.scenario_to_json(tk.scenario_from_json(line))
         del explicit["levels"][1]["r"]
         return "scenario", explicit, "'r'"
+    if case.startswith("point thread"):
+        field = "y1" if "y1" in case else "points"
+        return "thread", {"kind": "point", field: {"a": 1} if field == "y1" else 3}, f'"{field}"'
     atom = {
         "atom without w": {"x": [0.7]},
         "atom that is not an object": [0.7, 0.0],
@@ -745,6 +748,7 @@ def _malformed(case: str):
 @pytest.mark.parametrize("case", [
     "derive scenario without theta1", "explicit level without r", "atom without w",
     "atom that is not an object", "atom whose x is a scalar",
+    "point thread whose y1 is an object", "point thread whose points is a number",
 ])
 def test_a_malformed_loader_input_is_bad_input_naming_the_field(tmp_path, capsys, case):
     target, obj, name = _malformed(case)

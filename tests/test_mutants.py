@@ -14,6 +14,7 @@ planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 | ----------------------------------------------- | ------------------ |
 | ``BlockParams.theta_dot`` of theta mod 1        | C01                |
 | ``state_eval`` without e^(-beta p.r)            | C06                |
+| the batched state ``_state_values`` without it  | C05, C12           |
 | +2 pi i in ``_laplace_factors``                 | C01, C04, C10      |
 | conjugated phase in ``defect_measure_cts``      | C04                |
 | conjugated phase in ``_step_factors``           | C04, C06, C09, C10 |
@@ -32,6 +33,14 @@ so phi(ab) need not vanish.  The product kernel with its join as a min
 builds words with negative exponents; every engine word passes ``Word``'s
 checks, so C11's dense operator check stops on the ``ValueError`` for a
 negative q (``report`` exits 1), or a row fails.
+
+Every state value of C05, C07 and C12 comes from one batched kernel,
+``_state_values``; ``state_eval`` and ``psi_eval`` are its one-element case.
+The kernel without its weight e^(-beta p.r) fails C05, whose pairs twist
+by e^(-beta (p_a - q_a).r) < 1 where the state no longer weights the words
+back, and C12, whose quadrature route keeps the weight.  C07 cannot see it:
+the embedding multiplies p by D_m and r by D_m^(-1), so p.r, and with it
+the weight, is the same on both levels.
 
 The quadrature oracle is mutated too: C01 integrates each of its blocks in
 one batch, where a row whose negation came earlier takes the conjugate of
@@ -163,6 +172,15 @@ def _product_min_join():
     return namespace["_product"]
 
 
+def _state_values_unweighted():
+    """The batched state kernel recompiled from its source with e^(-beta p.r) taken as 1."""
+    source = inspect.getsource(toeplitz_algebra._state_values)
+    assert source.count("np.exp(-params.beta * ") == 1
+    namespace = dict(vars(toeplitz_algebra))
+    exec(source.replace("np.exp(-params.beta * ", "np.exp(0.0 * "), namespace)
+    return namespace["_state_values"]
+
+
 def _quadrature_without_conjugate():
     """The batch quadrature recompiled from its source with the partner rows' conjugate skipped."""
     source = inspect.getsource(oracle._laplace_batch)
@@ -186,6 +204,8 @@ MUTANTS = {
     "c_m_of_next_level": (
         tk.SolenoidMeasureThread, "_state", _state_with_next_levels_c, ("C07", "C12")),
     "dynamics_reversed": (toeplitz_algebra, "_dynamics", _dynamics_reversed, ("C05",)),
+    "state_values_unweighted": (
+        toeplitz_algebra, "_state_values", _state_values_unweighted(), ("C05", "C12")),
     "quadrature_partner_unconjugated": (
         oracle, "_laplace_batch", _quadrature_without_conjugate(), ("C01",)),
 }

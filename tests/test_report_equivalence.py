@@ -106,6 +106,44 @@ When the word engine became the batched array kernels (one call per stage
 for all of C11's instances and for each level's C05 pairs), no row of any
 file here moved and none was re-frozen: the kernels repeat the plain-Python
 engine's floating-point operations in the same order.
+
+Later still, the states came to be evaluated on a packed word batch (C05's
+pairs, C07's words and their embeddings and C12's words, one moments call
+per level and state), and the positivity certificate to take the moment
+matrix's eigenvalues alone (LAPACK's eigenvalue-only path, ``eigvalsh``,
+where ``eigh`` had computed the eigenvectors too), and C04's certificate row
+to read "(least moment-matrix eigenvalue)" where it named a Fejer density
+that no code computes.  So these rows were re-frozen, and no other, every
+one passing; C11 kept every bit, although it now makes one kernel call per
+stage for all levels.  The C04 "nu_mu" rows moved in their text and in the
+last bits of their value, the other C04 rows (the defect floors) in the last
+bits; the C05, C07 and C12 values are rounding noise around a true 0 or in
+the last bits, since a batch rounds its atomic moments through other BLAS
+kernels than one index does.
+
+* ``report_line_rows_parent.json`` and the CSV and text bytes: C04 levels
+  1-4, both rows each (nu_mu 0.7329913638677138 -> 0.732991363867714, ...,
+  defect floor at level 1 5.022573728700974e-07 -> 5.022573728677502e-07);
+  C05 levels 1 and 2 (1.2266347333466993e-18 -> 8.673617379884035e-19 and
+  1.7482234731686756e-18 -> 1.734723475976807e-18).  The text file moved in
+  the four C04 text lines and the two C05 lines.
+* ``report_planar_rows_parent.json``: the C04 nu_mu text at levels 1-3;
+  C05 levels 1 and 3 (2.662763643835588e-23 -> 2.658584740147398e-23 and
+  6.133173666733497e-19 -> 4.84869951806108e-19).
+* ``report_line_seed302_rows_parent.json``: C04 levels 1-4, both rows each.
+* ``report_planar_seed302_rows_parent.json``: the C04 nu_mu text at levels
+  1-3 only.
+* ``report_planar_point_rows_parent.json``: the C04 nu_mu rows at levels 1-3
+  and the level 3 defect floor; C05 level 3 (5.003707553108401e-17 ->
+  5.003707553108402e-17); C07 level 1 (2.4723613458141377e-18 ->
+  2.168404344971009e-18); C12 level 2 (2.063614717557648e-15 ->
+  2.0565840026933854e-15).
+* ``report_cubic_rows_parent.json``: C04 levels 1-3, both rows each (defect
+  floor at level 2 -6.046294187959222e-16 -> -1.0075372085675382e-15);
+  C07 level 1 (1.5993360207877823e-17 -> 1.5993360207877826e-17).
+* ``report_line_reduced.json`` and ``report_planar_reduced.json``: the C04
+  nu_mu text alone (4 and 3 rows); their numbers are within 1e-12 of the
+  files as they were and were left as they were.
 """
 
 from __future__ import annotations

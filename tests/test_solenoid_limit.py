@@ -129,6 +129,28 @@ TOPLEVEL_FLAWS = {
 }
 
 
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_a_thread_made_directly_rejects_a_signed_level_measure(line_scenario, level):
+    # the sign gate build_thread applies to a top-level measure, at every level;
+    # the signed measure has mass 1, so only its sign is wrong
+    good = tk.build_thread(line_scenario, kind="point", y1=np.array([0.3]))
+    measures = list(good.measures)
+    measures[level - 1] = tk.AtomicMeasure(np.array([[0.1], [0.7]]), np.array([1.5, -0.5]))
+    with pytest.raises(tk.ConstraintViolation, match=f"^level {level} measure: .*negative"):
+        tk.SolenoidMeasureThread(line_scenario, tuple(measures))
+
+
+def test_a_thread_made_directly_from_signed_pushforwards_is_rejected(line_scenario):
+    # the pushforwards of a signed top-level measure: compatible and of mass 1,
+    # so validate_thread lists nothing, but psi is no state
+    top = tk.AtomicMeasure(np.array([[0.1], [0.7]]), np.array([1.5, -0.5]))
+    measures = [top]
+    for m in range(line_scenario.depth - 1, 0, -1):
+        measures.append(tk.pushforward_dual(measures[-1], line_scenario.level(m).E))
+    with pytest.raises(tk.ConstraintViolation, match="negative or complex weights"):
+        tk.SolenoidMeasureThread(line_scenario, tuple(reversed(measures)))
+
+
 @pytest.mark.parametrize("flaw", sorted(TOPLEVEL_FLAWS))
 def test_toplevel_thread_rejects_a_measure_that_is_no_probability_on_the_torus(
     line_scenario, flaw

@@ -213,6 +213,33 @@ def test_the_hermitian_gate_is_relative_to_the_largest_moment():
     assert tk.positivity_test(tilted).is_positive
 
 
+@pytest.mark.parametrize("d, radius", [(1, 5), (2, 3), (3, 4)])
+def test_the_certificate_eigenvalue_is_the_full_decompositions(d, radius):
+    # the verdict takes the eigenvalues alone (eigvalsh); they agree with the
+    # full decomposition's to rounding, and a refutation carries its eigenvector
+    from toruskms.torus_measure import _moment_matrix
+
+    rng = np.random.default_rng(40 + d)
+    for signed in (False, True, False, True):
+        weights = rng.dirichlet(np.ones(4))
+        if signed:
+            weights[-1] = -0.6
+        mu = tk.AtomicMeasure(rng.random((4, d)), weights)
+        verdict = tk.positivity_test(mu, moment_radius=radius)
+        T = _moment_matrix(tk.moment_table(mu, radius), radius)
+        values, vectors = np.linalg.eigh(T)
+        scale = float(np.max(np.abs(values)))
+        assert abs(verdict.min_eigenvalue - values[0]) <= 1e-13 * scale
+        assert verdict.is_positive == (not signed)
+        if signed:
+            w = verdict.eigen_witness
+            assert w.shape == ((radius + 1) ** d,)
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+            assert np.linalg.norm(T @ w - values[0] * w) <= 1e-12 * scale
+        else:
+            assert verdict.eigen_witness is None
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_a_refuted_witness_spans_the_whole_box(d):
     # a negative control: the certificate's matrix is indexed by [0, N]^d, so a

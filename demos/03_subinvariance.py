@@ -81,7 +81,7 @@ def gram_min_eig(average_beta: float) -> float:
         ai = tk.adjoint(tk.AlgebraElement.from_word(wi))
         for j, wj in enumerate(basis):
             prod = tk.multiply(ai, tk.AlgebraElement.from_word(wj), params.theta)
-            G[i, j] = tk.state_eval(prob, params, prod, check_state=False)
+            G[i, j] = tk.state_eval(prob, params, prod)
     return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
 
 print(f"  min eigenvalue, average beta = dynamics beta = 1.0: {gram_min_eig(1.0):+.4f}")

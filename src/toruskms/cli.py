@@ -15,7 +15,7 @@ Every other subcommand exits 1 on the first violation validate would list.
 No option sets a gate's tolerance or coverage, or filters the report rows.
 
 Exit codes: 0 success, 1 a verification failed or a constraint is violated,
-2 the inputs could not be parsed.
+2 the inputs could not be parsed or a size option asks for too large an array.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ TRANSFORMS = {
     "nu-from-kappa": nu_from_kappa,
     "kappa-from-nu": kappa_from_nu,
 }
+
+
+# The most entries one array shaped by --moment-box or --samples may hold (1 GiB
+# as complex); like the quadrature's panel cap, no option sets it.
+_MAX_ENTRIES = 2**26
 
 
 class InputError(Exception):
@@ -128,6 +133,13 @@ def _load_inputs(args) -> SolenoidMeasureThread:
     if problems:
         raise ConstraintViolation(problems[0])
     return thread
+
+
+def _require_size(option: str, value: int, entries: int) -> None:
+    """InputError when the option's value shapes an array of more than _MAX_ENTRIES entries."""
+    if entries > _MAX_ENTRIES:
+        raise InputError(f"--{option} {value} needs an array of {entries} entries, "
+                         f"above the cap {_MAX_ENTRIES}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,6 +257,8 @@ def _cmd_transform(args) -> int:
     scenario = thread.scenario
     if not 1 <= args.level <= scenario.depth:
         raise InputError(f"level {args.level} outside 1..{scenario.depth}")
+    d = scenario.dims.d
+    _require_size("moment-box", args.moment_box, d * (2 * args.moment_box + 1) ** d)  # the box
     params = BlockParams.at_level(scenario, args.level)
     out = TRANSFORMS[args.transform](thread.measure(args.level), params)
     _emit(write_moment_csv(out, args.moment_box), args.out)
@@ -276,7 +290,12 @@ def _render(rows, args) -> str:
 
 def _cmd_checks(args) -> int:
     """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
-    rows = run_checks(SUITES[args.suite], _load_inputs(args), _suite_config(args))
+    thread = _load_inputs(args)
+    dims, depth = thread.scenario.dims, thread.scenario.depth
+    # the largest arrays: C04's moment matrix on [0, box]^d and C05's word exponents
+    _require_size("moment-box", args.moment_box, (args.moment_box + 1) ** (2 * dims.d))
+    _require_size("samples", args.samples, depth * args.samples * 2 * (2 * dims.k + dims.d))
+    rows = run_checks(SUITES[args.suite], thread, _suite_config(args))
     _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 

@@ -302,15 +302,6 @@ def bhs_reconciliation(
     return complex(a_value), complex(b_value)
 
 
-def _shift_power_matrix(p_j: int, box: int) -> np.ndarray:
-    """Truncation of the p_j-th power of the unilateral shift to [0, box]."""
-    size = box + 1
-    mat = np.zeros((size, size))
-    for b in range(size - p_j):
-        mat[b + p_j, b] = 1.0
-    return mat
-
-
 def _occupation_indices(k: int, box: int) -> np.ndarray:
     return np.asarray(list(np.ndindex((box + 1,) * k)), dtype=np.int64)
 
@@ -332,9 +323,9 @@ def fock_word_matrix(
     n = np.asarray(w.n, dtype=np.int64)
     shift_up = np.eye(1)
     shift_dn = np.eye(1)
-    for j in range(k):
-        shift_up = np.kron(shift_up, _shift_power_matrix(w.p[j], box))
-        shift_dn = np.kron(shift_dn, _shift_power_matrix(w.q[j], box))
+    for j in range(k):  # the p_j-th power of the unilateral shift, truncated to [0, box]
+        shift_up = np.kron(shift_up, np.eye(box + 1, k=-w.p[j]))
+        shift_dn = np.kron(shift_dn, np.eye(box + 1, k=-w.q[j]))
     occ = _occupation_indices(k, box)
     t = _theta_n(params, n)
     rot = np.exp(2j * np.pi * (occ.astype(float) @ t))

@@ -22,7 +22,8 @@ The exact relations between levels telescope the linear factors,
         = (beta r_j^m - 2 pi i (theta_m n)_j) / D_m[j, j],
 
 so embedding a word as (D_m p, E_m n, D_m q) does not change its psi value;
-``consistency_residual`` measures exactly that invariance.
+``consistency_residual`` measures exactly that invariance.  Its word rows
+[p | n | q] come from toeplitz_algebra's one row builder, ``_rows``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .scenario import ConstraintViolation, Scenario
 from .subinvariance import BlockParams, _require_nonnegative, nu_from_mu
-from .toeplitz_algebra import Word, _split, _state_values
+from .toeplitz_algebra import Word, _rows, _split, _state_values
 from .torus_measure import (
     AtomicMeasure,
     MultipliedMeasure,
@@ -124,17 +125,10 @@ class SolenoidMeasureThread:
 
 def embed_word(w: Word, scenario: Scenario) -> Word:
     """The level-(m+1) image (D_m p, E_m n, D_m q) of a level-m word."""
-    p, n, q = _split(_embedded(scenario, w.level, _row(w, scenario)), scenario.dims.k)
+    k, d = scenario.dims.k, scenario.dims.d
+    p, n, q = _split(_embedded(scenario, w.level, _rows([w], k, d)), k)
     return Word(p=tuple(p[0].tolist()), n=tuple(n[0].tolist()), q=tuple(q[0].tolist()),
                 level=w.level + 1)
-
-
-def _row(w: Word, scenario: Scenario) -> np.ndarray:
-    """The word as a one-row (1, 2k + d) array laid out [p | n | q]; ValueError unless k x d."""
-    k, d = scenario.dims.k, scenario.dims.d
-    if len(w.p) != k or len(w.n) != d:
-        raise ValueError(f"the word must have k = {k} and d = {d}")
-    return np.array([w.p + w.n + w.q], np.int64)
 
 
 def _embedded(scenario: Scenario, m: int, words) -> np.ndarray:
@@ -155,16 +149,6 @@ def _embedded(scenario: Scenario, m: int, words) -> np.ndarray:
     return up.astype(np.int64)
 
 
-def _canonical_point_lift(y1, scenario: Scenario) -> List[np.ndarray]:
-    """Point coordinates per level from y_1 via y_(m+1) = (E_m^T)^(-1) y_m mod 1."""
-    points = [reduce_mod_1(np.atleast_1d(np.asarray(y1, dtype=float)))]
-    for m in range(1, scenario.depth):
-        E = scenario.level(m).E
-        nxt = np.linalg.solve(E.T.astype(float), points[-1])
-        points.append(reduce_mod_1(nxt))
-    return points
-
-
 def build_thread(
     scenario: Scenario,
     kind: str,
@@ -182,7 +166,8 @@ def build_thread(
         checked against E_m^T y_(m+1) = y_m mod 1 to 1e-10 (ConstraintViolation
         on failure), or ``y1`` gives the base point and each next level takes
         the canonical preimage (E_m^T)^(-1) y_m mod 1.  The full preimage set
-        at each step is exposed by ``preimage_points``.
+        at each step is exposed by ``preimage_points``.  A malformed ``y1`` or
+        ``points`` is a ValueError that names the field.
     kind="toplevel"
         ``toplevel`` is the level-M probability measure (ConstraintViolation
         if its dimension, mass or sign is wrong); lower levels are its
@@ -193,8 +178,17 @@ def build_thread(
     if kind == "uniform":
         measures: List[TorusMeasure] = [UniformMeasure(d) for _ in range(scenario.depth)]
     elif kind == "point":
-        if points is not None:
-            pts = [reduce_mod_1(np.atleast_1d(np.asarray(p, dtype=float))) for p in points]
+        try:
+            y1 = None if y1 is None else reduce_mod_1(np.atleast_1d(y1))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f'thread field "y1" must be a list of numbers, got {y1!r}') from exc
+        try:
+            pts = None if points is None else [reduce_mod_1(np.atleast_1d(p)) for p in points]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f'thread field "points" must be a list of number lists, got {points!r}'
+            ) from exc
+        if pts is not None:
             if len(pts) != scenario.depth:
                 raise ConstraintViolation("need one point per level")
             for m in range(1, scenario.depth):
@@ -208,7 +202,10 @@ def build_thread(
                         f"differs from y_m = {pts[m - 1].tolist()}"
                     )
         elif y1 is not None:
-            pts = _canonical_point_lift(y1, scenario)
+            pts = [y1]
+            for m in range(1, scenario.depth):  # the canonical preimage of each level's point
+                Et = scenario.level(m).E.T.astype(float)
+                pts.append(reduce_mod_1(np.linalg.solve(Et, pts[-1])))
         else:
             raise ValueError('kind="point" needs either points or y1')
         measures = [AtomicMeasure.point_mass(p) for p in pts]
@@ -235,24 +232,12 @@ def build_thread(
 def thread_from_json(obj: dict, scenario: Scenario) -> SolenoidMeasureThread:
     """Load a thread from parsed {"kind": .., "y1": .., "points": .., "toplevel_measure": ..}.
 
-    A "y1" that is not a number list, or "points" that is not a list of
-    them, is a ValueError that names the field.
+    The fields go to build_thread as they are, which names a malformed one.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('thread JSON must be an object with a "kind" field')
     top = obj.get("toplevel_measure") if obj["kind"] == "toplevel" else None
-    y1, points = obj.get("y1"), obj.get("points")
-    try:
-        y1 = None if y1 is None else np.asarray(y1, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f'thread field "y1" must be a list of numbers, got {y1!r}') from exc
-    try:
-        points = None if points is None else [np.asarray(p, dtype=float) for p in points]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f'thread field "points" must be a list of number lists, got {points!r}'
-        ) from exc
-    return build_thread(scenario, kind=obj["kind"], y1=y1, points=points,
+    return build_thread(scenario, kind=obj["kind"], y1=obj.get("y1"), points=obj.get("points"),
                         toplevel=None if top is None else atomic_from_json(top))
 
 
@@ -301,9 +286,9 @@ def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     """Value of the thread's solenoid state on a single spanning word.
 
     state_eval of normalized_nu(thread, m) on w, where m is the word's level.
-    Raises ValueError when m is outside the thread's depth.
+    Raises ValueError unless w is k x d and m is within the thread's depth.
     """
-    row = _row(w, thread.scenario)
+    row = _rows([w], thread.scenario.dims.k, thread.scenario.dims.d)
     if w.p != w.q:  # the factor [p == q]: no state pass needed
         thread._state(w.level)  # ValueError outside 1..M
         return 0j
@@ -324,7 +309,8 @@ def consistency_residual(thread: SolenoidMeasureThread, w: Word) -> float:
     matches the moments, so the embedding preserves psi exactly.  A word at
     the top level raises ValueError.
     """
-    return float(_consistency_residuals(thread, w.level, _row(w, thread.scenario))[0])
+    row = _rows([w], thread.scenario.dims.k, thread.scenario.dims.d)
+    return float(_consistency_residuals(thread, w.level, row)[0])
 
 
 def _consistency_residuals(thread: SolenoidMeasureThread, m: int, words) -> np.ndarray:

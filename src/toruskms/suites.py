@@ -653,7 +653,7 @@ def _check_psi_oracle(scenario, thread, cfg, rng) -> List[StateReport]:
         for _ in range(10):
             p = _ints(rng, 0, 3, k)
             words.append(Word(p=p, n=_ints(rng, -3, 4, d), q=p, level=m))
-        psi = _psi_values(thread, m, np.array([w.p + w.n + w.q for w in words], np.int64))
+        psi = _psi_values(thread, m, engine._rows(words, k, d))
         gaps = [abs(value - psi_oracle(thread, w)) for value, w in zip(psi, words)]
         quantity = "max |psi - quadrature| over 10 diagonal words"
         rows.append(_residual_row("C12", m, quantity, _worst(gaps), ORACLE_TOL))
@@ -693,7 +693,9 @@ def run_checks(
     """Run the named checks on the thread and its scenario, in CHECKS order (by check id).
 
     Every check draws from its own generator seeded by (cfg.seed, check
-    position), so a check's rows do not depend on the subset requested.
+    position), so a check's rows do not depend on the subset requested.  A
+    check runs with numpy's invalid and divide events raised; such an event
+    (the kernels ignore theirs and keep the NaN) is one failing row naming it.
     """
     wanted = set(check_ids)
     unknown = wanted - {cid for cid, _t, _f in CHECKS}
@@ -703,7 +705,12 @@ def run_checks(
     for idx, (cid, _title, fn) in enumerate(CHECKS):
         if cid in wanted:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
-            rows.extend(fn(thread.scenario, thread, cfg, rng))
+            try:
+                with np.errstate(invalid="raise", divide="raise"):
+                    rows.extend(fn(thread.scenario, thread, cfg, rng))
+            except FloatingPointError as exc:
+                quantity = f"floating-point event: {exc}"
+                rows.append(_row(cid, 0, quantity, np.nan, 0.0, np.nan, 0.0, status="fail"))
     return rows
 
 

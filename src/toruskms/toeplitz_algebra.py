@@ -16,13 +16,15 @@ single word with an explicit phase:
 with j = q v p'.  Elements are dictionaries word -> coefficient kept in this
 normal form; coefficients of modulus below 1e-15 are pruned, NaN is kept.  The
 engine holds B elements as (B, T, 2k + d) int64 words laid out [p | n | q],
-(B, T) complex coefficients and a (B, T) mask of live slots; its kernels form B
-products, adjoints or dynamics in one call and add like words into their first
-live slot.  They give the bits of the per-pair Python arithmetic they replaced
-by five rules: complex products as separate real operations (numpy's complex
-multiply may fuse multiply-adds); moduli by np.hypot; merge sums added left to
-right in slot order; dot products summed left to right over columns, never by
-@ or einsum; and np.exp of the complex exponent that cmath.exp took.
+(B, T) complex coefficients and a (B, T) mask of live slots; every word row
+comes from one builder, _rows, which solenoid_limit and the checks share.  The
+kernels form B products, adjoints or dynamics in one call and add like words
+into their first live slot.  They give the bits of the per-pair Python
+arithmetic they replaced by five rules: complex products as separate real
+operations (numpy's complex multiply may fuse multiply-adds); moduli by
+np.hypot; merge sums added left to right in slot order; dot products summed
+left to right over columns, never by @ or einsum; and np.exp of the complex
+exponent that cmath.exp took.
 
 The gauge dynamics acts diagonally, alpha_t(V_p U_n V*_q) =
 e^(i t (p-q).r) V_p U_n V*_q, for real or complex t.  Given a measure nu on
@@ -36,9 +38,10 @@ on a batch as well: the live diagonal terms of all B elements go to one
 nu.moments call and one np.exp of their weights -beta p.r (p.r by the
 left-to-right dot), then each element's terms c e^(-beta p.r) moment(nu, n)
 are formed by the real-operation product and added from 0 in slot order.
-state_eval is the case B = 1.  The weights and the sums are element by element,
-but a batch of moments rounds through other BLAS kernels than one index does,
-so a batched value may differ from its one-element value in the last bits.
+state_eval is the case B = 1 behind a state gate.  The weights and the sums
+are element by element, but a batch of moments rounds through other BLAS
+kernels than one index does, so a batched value may differ from its
+one-element value in the last bits.
 """
 
 from __future__ import annotations
@@ -180,18 +183,25 @@ def _split(w, k):
     return w[..., :k], w[..., k:w.shape[-1] - k], w[..., w.shape[-1] - k:]
 
 
+def _rows(words, k, d):
+    """Words as a (B, 2k + d) int64 array laid out [p | n | q]; ValueError unless each is k x d."""
+    rows = []
+    for w in words:  # a loop, not any() over a generator: a one-word call costs half as much
+        if len(w.p) != k or len(w.n) != d:
+            raise ValueError(f"every word must have k = {k} and d = {d}")
+        rows.append(w.p + w.n + w.q)
+    return np.array(rows, np.int64).reshape(len(words), 2 * k + d)
+
+
 def _pack(elements, k, d):
     """The batch of elements; ValueError unless every word is k x d (None: as the first word's)."""
     words = [w for e in elements for w in e.terms]
     k = len(words[0].p) if k is None and words else k or 0
     d = len(words[0].n) if d is None and words else d or 0
-    if any(len(w.p) != k or len(w.n) != d for w in words):
-        raise ValueError(f"every word must have k = {k} and d = {d}")
-    rows = [w.p + w.n + w.q for w in words]
     counts = np.array([len(e.terms) for e in elements])
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     w, c = np.zeros((*live.shape, 2 * k + d), np.int64), np.zeros(live.shape, complex)
-    w[live] = np.array(rows, np.int64).reshape(len(words), 2 * k + d)
+    w[live] = _rows(words, k, d)
     c[live] = [z for e in elements for z in e.terms.values()]
     return w, c, live
 
@@ -311,31 +321,28 @@ def apply_dynamics(a: AlgebraElement, t, r) -> AlgebraElement:
     return _unpack(_dynamics(_pack([a], len(r), None), complex(t), r), a.level, len(r))[0]
 
 
-def state_eval(
-    nu: TorusMeasure, params: BlockParams, a: AlgebraElement, check_state: bool = True
-) -> complex:
-    """Evaluate the equilibrium functional of nu on an element.
+def state_eval(nu: TorusMeasure, params: BlockParams, a: AlgebraElement) -> complex:
+    """Evaluate the equilibrium state of nu on an element.
 
     phi(V_p U_n V*_q) = [p == q] e^(-beta p.r) moment(nu, n), extended
-    linearly.  A bona fide state needs nu positive with mass 1; check_state
-    enforces the cheap part (mass within 1e-8 of 1, nonnegative weights when
-    atomic) and can be disabled for functional identities that hold for
-    arbitrary nu.  Full positivity certification is positivity_test's job.
-    Raises ValueError unless every word is k x d for the block and nu.
+    linearly.  A bona fide state needs nu positive with mass 1; this gates
+    the cheap part (ValueError unless the mass is within 1e-8 of 1 and, when
+    nu is atomic, its weights are nonnegative).  Full positivity
+    certification is positivity_test's job.  Raises ValueError unless every
+    word is k x d for the block and nu.
     """
-    if check_state:
-        mass = nu.total_mass()
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"state requires mass 1, got {mass:.12g}")
-        if isinstance(nu, AtomicMeasure) and (
-            np.max(np.abs(nu.weights.imag)) > 1e-10 or np.min(nu.weights.real) < -1e-10
-        ):
-            raise ValueError("state requires a nonnegative measure")
+    mass = nu.total_mass()
+    if abs(mass - 1.0) > 1e-8:
+        raise ValueError(f"state requires mass 1, got {mass:.12g}")
+    if isinstance(nu, AtomicMeasure) and (
+        np.max(np.abs(nu.weights.imag)) > 1e-10 or np.min(nu.weights.real) < -1e-10
+    ):
+        raise ValueError("state requires a nonnegative measure")
     return complex(_state_values(nu, params, _pack([a], len(params.r), nu.d))[0])
 
 
 def _state_values(nu, params, x):
-    """state_eval of each element of a batch, without the state checks.
+    """The functional of nu on each element of a batch: state_eval without its state gate.
 
     The live diagonal terms go to one nu.moments call and one np.exp of their
     weights; each element's terms are then added from 0 in slot order.

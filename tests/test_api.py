@@ -80,7 +80,6 @@ SETTINGS = [
     "mu_from_nu(check=True)",
     "nu_from_mu(check=True)",
     "positivity_test(moment_radius=5)",
-    "state_eval(check_state=True)",
 ]
 
 SUITE_CONFIG_FIELDS = ["samples", "s_samples", "moment_box", "seed"]

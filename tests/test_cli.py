@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toruskms as tk
-from toruskms import toeplitz_algebra
-from toruskms.cli import main
+from toruskms import suites, toeplitz_algebra
+from toruskms.cli import _MAX_ENTRIES, main
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +349,57 @@ def test_smallest_sizes_are_accepted(line_files, tmp_path, capsys):
                  "--moment-box", "0", "--out", str(tmp_path / "r.json")]) == 0
     assert main(["transform", *common, "--transform", "nu-from-mu", "--moment-box", "0"]) == 0
     assert capsys.readouterr().out.endswith("n_1,Re,Im\n0,1,0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--scenario", "planar_tower.json", "--moment-box", "100000"],
+        ["report", "--scenario", "line_tower.json", "--samples", "1000000000"],
+        ["transform", "--scenario", "planar_tower.json", "--transform", "nu-from-mu",
+         "--moment-box", "100000"],
+    ],
+)
+def test_an_oversized_option_exits_two_before_allocating(capsys, argv):
+    # each asked numpy for 119 to 596 GiB and exited 1 with its memory error
+    argv = [str(SCENARIOS / arg) if arg.endswith(".json") else arg for arg in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {argv[-2]} {argv[-1]} needs an array of ")
+    assert err.endswith(f" entries, above the cap {_MAX_ENTRIES}\n") and err.count("\n") == 1
+    assert peak < 2**25
+
+
+@pytest.mark.parametrize("numerator, event", [(0.0, "invalid value"), (1.0, "divide by zero")])
+def test_a_floating_point_event_fails_its_check_in_one_row(
+    line_files, tmp_path, monkeypatch, numerator, event
+):
+    # a check whose arithmetic hits 0/0 or 1/0 fails in one row naming the event,
+    # and every other check still runs and the report still renders
+    def divides_by_zero(scenario, thread, cfg, rng):
+        ratio = np.full(1, numerator) / np.zeros(1)
+        return [suites._residual_row("C08", 0, "a ratio", float(ratio[0]), 1.0)]
+
+    checks = tuple((cid, title, divides_by_zero if cid == "C08" else fn)
+                   for cid, title, fn in suites.CHECKS)
+    monkeypatch.setattr(suites, "CHECKS", checks)
+    _root, scenario, thread = line_files
+    out = tmp_path / "report.json"
+    argv = ["report", "--scenario", str(scenario), "--thread", str(thread), "--samples", "5",
+            "--s-samples", "0", "--out", str(out)]
+    assert main(argv) == 1
+    rows = json.loads(out.read_text())["checks"]
+    assert [row["check_id"] for row in rows if row["pass"] == "fail"] == ["C08"]
+    (row,) = [row for row in rows if row["check_id"] == "C08"]
+    assert row["quantity"] == f"floating-point event: {event} encountered in divide"
+    assert row["pass"] == "fail" and np.isnan(row["residual"])
+    assert {row["check_id"] for row in rows} == {cid for cid, _title, _fn in checks}
 
 
 def test_console_script_installed(line_files):

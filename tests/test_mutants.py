@@ -116,7 +116,7 @@ def _theta_dot_mod_one(self, n):
     return np.asarray(n, dtype=float) @ np.mod(self.theta, 1.0).T
 
 
-def _state_without_weight(nu, params, a, check_state=True):
+def _state_without_weight(nu, params, a):
     return complex(sum(c * nu.moment(w.n) for w, c in a.terms.items() if w.p == w.q))
 
 

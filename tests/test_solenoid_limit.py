@@ -111,6 +111,14 @@ def test_point_thread_canonical_lift(line_scenario):
         assert np.min(np.abs(image - lo.points)) < 1e-12
 
 
+@pytest.mark.parametrize("field, value", [("y1", {"a": 1}), ("points", 3)])
+def test_build_thread_names_a_malformed_point_field(line_scenario, field, value):
+    # build_thread converts the fields itself, so a library caller gets the loader's message
+    with pytest.raises(ValueError, match=f'thread field "{field}" must be a list') as info:
+        tk.build_thread(line_scenario, kind="point", **{field: value})
+    assert not isinstance(info.value, tk.ConstraintViolation)
+
+
 def test_explicit_point_thread_rejects_incompatible(line_scenario):
     with pytest.raises(tk.ConstraintViolation, match=r"levels 1->2: E\^T y_\(m\+1\)"):
         tk.build_thread(

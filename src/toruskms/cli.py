@@ -50,6 +50,9 @@ from .suites import (
     SUITES,
     SuiteConfig,
     _FLOORS,
+    _MAX_ENTRIES,  # noqa: F401  re-exported: the cap the size options obey
+    _require_size,
+    _require_sizes,
     overall_pass,
     render_csv,
     render_json,
@@ -66,11 +69,6 @@ TRANSFORMS = {
     "nu-from-kappa": nu_from_kappa,
     "kappa-from-nu": kappa_from_nu,
 }
-
-
-# The most entries one array shaped by --moment-box or --samples may hold (1 GiB
-# as complex); like the quadrature's panel cap, no option sets it.
-_MAX_ENTRIES = 2**26
 
 
 class InputError(Exception):
@@ -135,11 +133,12 @@ def _load_inputs(args) -> SolenoidMeasureThread:
     return thread
 
 
-def _require_size(option: str, value: int, entries: int) -> None:
-    """InputError when the option's value shapes an array of more than _MAX_ENTRIES entries."""
-    if entries > _MAX_ENTRIES:
-        raise InputError(f"--{option} {value} needs an array of {entries} entries, "
-                         f"above the cap {_MAX_ENTRIES}")
+def _capped(require, *args) -> None:
+    """Run a size check of suites; its ValueError, an option above the array cap, exits 2."""
+    try:
+        require(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,7 +257,7 @@ def _cmd_transform(args) -> int:
     if not 1 <= args.level <= scenario.depth:
         raise InputError(f"level {args.level} outside 1..{scenario.depth}")
     d = scenario.dims.d
-    _require_size("moment-box", args.moment_box, d * (2 * args.moment_box + 1) ** d)  # the box
+    _capped(_require_size, "moment-box", args.moment_box, d * (2 * args.moment_box + 1) ** d)
     params = BlockParams.at_level(scenario, args.level)
     out = TRANSFORMS[args.transform](thread.measure(args.level), params)
     _emit(write_moment_csv(out, args.moment_box), args.out)
@@ -290,12 +289,9 @@ def _render(rows, args) -> str:
 
 def _cmd_checks(args) -> int:
     """`suite` and `report`: run a suite (`report` runs "all") and render its rows."""
-    thread = _load_inputs(args)
-    dims, depth = thread.scenario.dims, thread.scenario.depth
-    # the largest arrays: C04's moment matrix on [0, box]^d and C05's word exponents
-    _require_size("moment-box", args.moment_box, (args.moment_box + 1) ** (2 * dims.d))
-    _require_size("samples", args.samples, depth * args.samples * 2 * (2 * dims.k + dims.d))
-    rows = run_checks(SUITES[args.suite], thread, _suite_config(args))
+    thread, cfg = _load_inputs(args), _suite_config(args)
+    _capped(_require_sizes, thread.scenario, cfg)
+    rows = run_checks(SUITES[args.suite], thread, cfg)
     _emit(_render(rows, args), args.out)
     return 0 if overall_pass(rows) else 1
 

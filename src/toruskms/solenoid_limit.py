@@ -194,9 +194,7 @@ def build_thread(
             for m in range(1, scenario.depth):
                 E = scenario.level(m).E
                 image = reduce_mod_1(E.T.astype(float) @ pts[m])
-                gap = np.abs(image - pts[m - 1])
-                gap = np.minimum(gap, 1.0 - gap)  # distance on the torus
-                if float(np.max(gap)) > POINT_COMPAT_TOL:
+                if _torus_distance(image, pts[m - 1]) > POINT_COMPAT_TOL:
                     raise ConstraintViolation(
                         f"levels {m}->{m + 1}: E^T y_(m+1) = {image.tolist()} "
                         f"differs from y_m = {pts[m - 1].tolist()}"
@@ -289,9 +287,6 @@ def psi_eval(thread: SolenoidMeasureThread, w: Word) -> complex:
     Raises ValueError unless w is k x d and m is within the thread's depth.
     """
     row = _rows([w], thread.scenario.dims.k, thread.scenario.dims.d)
-    if w.p != w.q:  # the factor [p == q]: no state pass needed
-        thread._state(w.level)  # ValueError outside 1..M
-        return 0j
     return complex(_psi_values(thread, w.level, row)[0])
 
 
@@ -327,6 +322,8 @@ def preimage_points(y, E) -> np.ndarray:
     equals |det E|.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"y must be finite, got {y.tolist()}")
     E = np.atleast_2d(np.asarray(E))
     Et = E.T.astype(float)
     det = int(round(abs(float(np.linalg.det(Et)))))
@@ -338,7 +335,7 @@ def preimage_points(y, E) -> np.ndarray:
     for offset in np.ndindex(*(hi - lo + 1)):
         z = np.asarray(offset, dtype=float) + lo
         x = reduce_mod_1(np.linalg.solve(Et, y + z))
-        if not any(_torus_close(x, other) for other in found):
+        if not any(_torus_distance(x, other) <= 1e-9 for other in found):
             found.append(x)
     if len(found) != det:
         raise ArithmeticError(
@@ -347,6 +344,7 @@ def preimage_points(y, E) -> np.ndarray:
     return np.asarray(sorted(found, key=lambda v: tuple(np.round(v, 12))))
 
 
-def _torus_close(a: np.ndarray, b: np.ndarray) -> bool:
+def _torus_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest coordinate distance between two points of [0, 1)^d on the torus."""
     gap = np.abs(a - b)
-    return bool(np.max(np.minimum(gap, 1.0 - gap)) <= 1e-9)
+    return float(np.max(np.minimum(gap, 1.0 - gap)))

@@ -31,6 +31,12 @@ The geometric pair and both defects are one step factor
 multiplied over the rows s of a step matrix: the k x k identity for the
 geometric pair (kappa_from_nu is the defect at the unit steps), the sorted
 family F for the finite defect and diag(s) for the continuous one.
+
+One routine, _certify, certifies subinvariance for both of its callers,
+check_subinvariance (the gate of mu_from_nu) and the report's check C04: it
+runs positivity_test on nu, then on its continuous defect at each given s,
+all on one moment box, and returns the verdicts in that order.  A NaN or an
+infinity in s or in a numeric_limit_mu schedule is a ValueError.
 """
 
 from __future__ import annotations
@@ -258,6 +264,8 @@ def defect_measure_cts(nu: TorusMeasure, s, params: BlockParams) -> MultipliedMe
         raise ValueError(f"s must be a vector of length {params.k}")
     if np.any(s < 0):
         raise ValueError(f"s must be entrywise nonnegative, got {s.tolist()}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"s must be finite, got {s.tolist()}")
     return _step_measure(nu, np.diag(s), False, params, f"cts-defect(s={s.tolist()})")
 
 
@@ -280,8 +288,8 @@ def numeric_limit_mu(
     schedule = np.asarray(list(s_schedule), dtype=float)
     if schedule.ndim != 1 or len(schedule) == 0:
         raise ValueError("s_schedule must be a non-empty sequence")
-    if np.any(schedule <= 0) or np.any(np.diff(schedule) >= 0):
-        raise ValueError("s_schedule must be positive and strictly decreasing")
+    if not (np.all(np.isfinite(schedule) & (schedule > 0)) and np.all(np.diff(schedule) < 0)):
+        raise ValueError("s_schedule must be positive, finite and strictly decreasing")
     n = _index_vector(n, params.d)
     values = np.array(
         [defect_measure_cts(nu, np.full(params.k, s), params).moment(n) / s**params.k
@@ -301,23 +309,25 @@ def check_subinvariance(nu: TorusMeasure, params: BlockParams) -> Tuple[bool, Li
     """Sampled necessary-condition certificate that nu is subinvariant.
 
     Draws SUBINV_DRAWS defect parameters s uniformly from [0, s_max]^k,
-    s_max = 5 / (beta min_j r_j), seeded SUBINV_SEED, adds s = 1, and runs
-    positivity_test on each defect and on nu itself on |n_i| <= SUBINV_RADIUS.
-    Returns (ok, failure descriptions), each naming its s and eigenvalue.
+    s_max = 5 / (beta min_j r_j), seeded SUBINV_SEED, adds s = 1, and
+    certifies nu and its defect at each s on |n_i| <= SUBINV_RADIUS with
+    _certify, the routine C04 runs too.  Returns (ok, failure descriptions),
+    each naming its s and eigenvalue.
     """
     _check_dims(nu, params)
     rng = np.random.default_rng(SUBINV_SEED)
     trial_s = [np.ones(params.k), *rng.uniform(0.0, _s_max(params), (SUBINV_DRAWS, params.k))]
-    failures: List[str] = []
-    verdict = positivity_test(nu, moment_radius=SUBINV_RADIUS)
-    if not verdict.is_positive:
-        failures.append(f"nu itself fails positivity: {verdict.describe()}")
-    for s in trial_s:
-        defect = defect_measure_cts(nu, s, params)
-        verdict = positivity_test(defect, moment_radius=SUBINV_RADIUS)
-        if not verdict.is_positive:
-            failures.append(f"defect at s={np.round(s, 4).tolist()}: {verdict.describe()}")
+    verdict, *verdicts = _certify(nu, trial_s, params, SUBINV_RADIUS)
+    failures = [] if verdict.is_positive else [f"nu itself fails positivity: {verdict.describe()}"]
+    failures += [f"defect at s={np.round(s, 4).tolist()}: {v.describe()}"
+                 for s, v in zip(trial_s, verdicts) if not v.is_positive]
     return (not failures), failures
+
+
+def _certify(nu: TorusMeasure, trial_s, params: BlockParams, radius: int) -> list:
+    """The PositivityVerdicts on [0, radius]^d of nu, then of its continuous defect at each s."""
+    defects = (defect_measure_cts(nu, s, params) for s in trial_s)
+    return [positivity_test(mu, moment_radius=radius) for mu in (nu, *defects)]
 
 
 def _s_max(params: BlockParams) -> float:

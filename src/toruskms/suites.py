@@ -12,7 +12,6 @@ after another and returns rows sorted by check id.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,8 +37,8 @@ from .solenoid_limit import (
 )
 from .subinvariance import (
     BlockParams,
+    _certify,
     _s_max,
-    defect_measure_cts,
     kappa_from_nu,
     mu_from_nu,
     nu_from_kappa,
@@ -52,7 +51,6 @@ from .torus_measure import (
     POSITIVITY_TOL,
     AtomicMeasure,
     index_box,
-    positivity_test,
 )
 
 __all__ = [
@@ -76,6 +74,9 @@ FUZZ_TOL = 1e-12
 FUZZ_COUNT = 500
 # The least value of each report option; SuiteConfig and the CLI both read it.
 _FLOORS = {"samples": 1, "s_samples": 0, "moment_box": 0, "seed": 0}
+# The most entries one array shaped by a size option may hold (1 GiB as complex);
+# like the quadrature's panel cap, no option sets it.
+_MAX_ENTRIES = 2**26
 
 
 @dataclass(frozen=True)
@@ -310,13 +311,13 @@ def _positivity_row(m: int, quantity: str, violation: float) -> StateReport:
 
 
 def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
-    certify = functools.partial(positivity_test, moment_radius=cfg.moment_box)
     rows = []
     for m in range(1, scenario.depth + 1):
         params = BlockParams.at_level(scenario, m)
-        mu_m = thread.measure(m)
-        nu = nu_from_mu(mu_m, params, check=False)
-        verdict = certify(nu)
+        nu = nu_from_mu(thread.measure(m), params, check=False)
+        s_points = [rng.uniform(0.0, _s_max(params), scenario.dims.k) for _ in range(cfg.s_samples)]
+        s_points.extend(_subinv_lattice_points(scenario, m))
+        verdict, *verdicts = _certify(nu, s_points, params, cfg.moment_box)
         rows.append(
             _positivity_row(
                 m,
@@ -326,8 +327,6 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
                 -verdict.min_eigenvalue,
             )
         )
-        s_points = [rng.uniform(0.0, _s_max(params), scenario.dims.k) for _ in range(cfg.s_samples)]
-        s_points.extend(_subinv_lattice_points(scenario, m))
         quantity = (
             f"defect positivity over {cfg.s_samples} sampled s + "
             f"{len(s_points) - cfg.s_samples} lattice points"
@@ -335,7 +334,6 @@ def _check_subinv_positivity(scenario, thread, cfg, rng) -> List[StateReport]:
         if not s_points:
             rows.append(_row("C04", m, quantity, 0.0, 0.0, 0.0, POSITIVITY_TOL, status="skip"))
             continue
-        verdicts = [certify(defect_measure_cts(nu, s, params)) for s in s_points]
         violations = [-v.min_eigenvalue for v in verdicts]
         worst = int(np.argmax(violations))  # the first worst s, or the first NaN
         if not verdicts[worst].is_positive:
@@ -687,6 +685,20 @@ SUITES: Dict[str, Tuple[str, ...]] = {
 }
 
 
+def _require_size(option: str, value: int, entries: int) -> None:
+    """ValueError when the option's value shapes an array of more than _MAX_ENTRIES entries."""
+    if entries > _MAX_ENTRIES:
+        raise ValueError(f"--{option} {value} needs an array of {entries} entries, "
+                         f"above the cap {_MAX_ENTRIES}")
+
+
+def _require_sizes(scenario: Scenario, cfg: SuiteConfig) -> None:
+    """ValueError when C04's moment matrix on [0, box]^d or C05's word exponents pass the cap."""
+    dims, depth = scenario.dims, scenario.depth
+    _require_size("moment-box", cfg.moment_box, (cfg.moment_box + 1) ** (2 * dims.d))
+    _require_size("samples", cfg.samples, depth * cfg.samples * 2 * (2 * dims.k + dims.d))
+
+
 def run_checks(
     check_ids: Sequence[str], thread: SolenoidMeasureThread, cfg: SuiteConfig
 ) -> List[StateReport]:
@@ -696,11 +708,13 @@ def run_checks(
     position), so a check's rows do not depend on the subset requested.  A
     check runs with numpy's invalid and divide events raised; such an event
     (the kernels ignore theirs and keep the NaN) is one failing row naming it.
+    A size option above the array cap is a ValueError naming it, before any check runs.
     """
     wanted = set(check_ids)
     unknown = wanted - {cid for cid, _t, _f in CHECKS}
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    _require_sizes(thread.scenario, cfg)
     rows: List[StateReport] = []
     for idx, (cid, _title, fn) in enumerate(CHECKS):
         if cid in wanted:

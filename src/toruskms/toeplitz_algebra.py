@@ -332,7 +332,7 @@ def state_eval(nu: TorusMeasure, params: BlockParams, a: AlgebraElement) -> comp
     word is k x d for the block and nu.
     """
     mass = nu.total_mass()
-    if abs(mass - 1.0) > 1e-8:
+    if not abs(mass - 1.0) <= 1e-8:  # a NaN mass fails too
         raise ValueError(f"state requires mass 1, got {mass:.12g}")
     if isinstance(nu, AtomicMeasure) and (
         np.max(np.abs(nu.weights.imag)) > 1e-10 or np.min(nu.weights.real) < -1e-10

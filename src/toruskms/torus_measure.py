@@ -208,10 +208,12 @@ def pushforward_dual(mu: TorusMeasure, E) -> TorusMeasure:
     Atomic measures map their atoms directly, the uniform measure is invariant,
     and any other representation returns a lazy index-mapped oracle.
     """
-    E = np.asarray(E)
-    Ei = np.rint(E).astype(np.int64)
-    if E.shape != (mu.d, mu.d) or np.max(np.abs(np.asarray(E, dtype=float) - Ei)) > 1e-9:
+    E = np.asarray(E, dtype=float)
+    # finite before the int cast, which would turn a NaN into an integer
+    if (E.shape != (mu.d, mu.d) or not np.all(np.isfinite(E))
+            or np.max(np.abs(E - np.rint(E))) > 1e-9):
         raise ValueError("E must be a square integer matrix of the measure's dimension")
+    Ei = np.rint(E).astype(np.int64)
     if round(abs(np.linalg.det(Ei.astype(float)))) == 0:
         raise ValueError("pushforward matrix must have nonzero determinant")
     if isinstance(mu, AtomicMeasure):

@@ -10,19 +10,19 @@ The mutants below run at a reduced configuration on the line tower with its
 point thread and on the planar tower with ``planar_point_thread.json``; the
 planar uniform thread's moments vanish off n = 0, which hides phase bugs.
 
-| mutant                                          | fails              |
-| ----------------------------------------------- | ------------------ |
-| ``BlockParams.theta_dot`` of theta mod 1        | C01                |
-| ``state_eval`` without e^(-beta p.r)            | C06                |
-| the batched state ``_state_values`` without it  | C05, C12           |
-| +2 pi i in ``_laplace_factors``                 | C01, C04, C10      |
-| conjugated phase in ``defect_measure_cts``      | C04                |
-| conjugated phase in ``_step_factors``           | C04, C06, C09, C10 |
-| normalization constant c_m dropped or doubled   | C12                |
-| c_m taken from the next level                   | C07, C12           |
-| dynamics kernel ``_dynamics`` with t negated    | C05                |
-| the join as a min in the product kernel         | stops C11 (Word)   |
-| quadrature partner rows without the conjugate   | C01                |
+| mutant                                                     | fails              |
+| ---------------------------------------------------------- | ------------------ |
+| ``BlockParams.theta_dot`` of theta mod 1                   | C01                |
+| ``state_eval`` without e^(-beta p.r)                       | C06                |
+| the batched state ``_state_values`` without it             | C05, C12           |
+| +2 pi i in ``_laplace_factors``                            | C01, C04, C10      |
+| conjugated phase in ``defect_measure_cts`` of ``_certify`` | C04                |
+| conjugated phase in ``_step_factors``                      | C04, C06, C09, C10 |
+| normalization constant c_m dropped or doubled              | C12                |
+| c_m taken from the next level                              | C07, C12           |
+| dynamics kernel ``_dynamics`` with t negated               | C05                |
+| the join as a min in the product kernel                    | stops C11 (Word)   |
+| quadrature partner rows without the conjugate              | C01                |
 
 The word engine is one set of array kernels in ``toeplitz_algebra``:
 ``multiply``, ``adjoint`` and ``apply_dynamics`` are their one-element case,
@@ -46,6 +46,12 @@ The quadrature oracle is mutated too: C01 integrates each of its blocks in
 one batch, where a row whose negation came earlier takes the conjugate of
 that row's integral.  Skipping the conjugate breaks every such row whose
 (theta n)_j is nonzero, on any tower, since C01 draws its own blocks.
+
+C04 and ``check_subinvariance``, the gate of ``mu_from_nu``, share one
+certificate routine, ``subinvariance._certify``: it runs ``positivity_test``
+on nu and then on its continuous defect at each s.  It looks
+``defect_measure_cts`` up on its module, so the conjugated defect reaches C04
+through it, as it reaches ``check_subinvariance``.
 
 The geometric pair and both defect measures share ``_step_factors``, so its
 conjugated phase reaches four checks: C04 through the continuous defect, C06
@@ -245,6 +251,26 @@ def test_conjugated_defect_phase_fails_c04_by_a_margin(tower, monkeypatch):
     _patch(monkeypatch, subinvariance, "defect_measure_cts", _defect_cts_conjugated)
     rows = tk.run_checks(("C04",), thread, CFG)
     assert max(r.residual for r in rows) >= 1.35e-2
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_conjugated_defect_phase_fails_check_subinvariance_too(tower, monkeypatch):
+    # C04 and check_subinvariance take their verdicts from one routine, _certify
+    thread = _load(tower)
+    params = tk.BlockParams.at_level(thread.scenario, 1)
+    nu = tk.nu_from_mu(thread.measure(1), params, check=False)
+    assert tk.check_subinvariance(nu, params)[0]
+    certify, radii = subinvariance._certify, []
+
+    def counted(*args):
+        radii.append(args[-1])
+        return certify(*args)
+
+    _patch(monkeypatch, subinvariance, "_certify", counted)
+    _patch(monkeypatch, subinvariance, "defect_measure_cts", _defect_cts_conjugated)
+    assert not tk.check_subinvariance(nu, params)[0]
+    assert any(r.status == "fail" for r in tk.run_checks(("C04",), thread, CFG))
+    assert radii == [subinvariance.SUBINV_RADIUS] + [CFG.moment_box] * thread.scenario.depth
 
 
 @pytest.mark.parametrize("tower", sorted(TOWERS))

@@ -212,9 +212,10 @@ def test_psi_rejects_levels_beyond_depth(line_point_thread):
 def test_a_level_outside_the_thread_is_bad_input(line_point_thread, m):
     # _state(0) must not read the top level's state from the end of the tuple
     calls = [line_point_thread.measure, lambda m: tk.normalized_nu(line_point_thread, m)]
-    if m > 0:
-        word = tk.Word(p=(0,), n=(0,), q=(0,), level=m)
-        calls.append(lambda m: tk.psi_eval(line_point_thread, word))
+    if m > 0:  # a diagonal and an off-diagonal word, which takes the same state pass
+        for word in (tk.Word(p=(0,), n=(0,), q=(0,), level=m),
+                     tk.Word(p=(1,), n=(0,), q=(0,), level=m)):
+            calls.append(lambda m, word=word: tk.psi_eval(line_point_thread, word))
     for call in calls:
         with pytest.raises(ValueError, match=f"level {m} outside 1..4") as info:
             call(m)
@@ -365,6 +366,13 @@ def test_preimage_points_count_and_compatibility():
     assert len(pres) == 2  # |det E| preimages
     for z in pres:
         assert np.max(np.abs(((E.T @ z) - y + 0.5) % 1.0 - 0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf])
+def test_preimage_points_rejects_a_non_finite_point(y):
+    # a NaN point once raised ArithmeticError ("found 3 preimages"), not bad input
+    with pytest.raises(ValueError, match="y must be finite"):
+        tk.preimage_points([y], [[2]])
 
 
 def test_thread_json_round_trip(line_scenario, tmp_path):

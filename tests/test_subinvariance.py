@@ -193,6 +193,14 @@ def test_cts_defect_rejects_negative_s():
         tk.defect_measure_cts(nu, np.array([-0.5]), params)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_cts_defect_rejects_a_non_finite_s(s):
+    # a NaN or infinite step once built a defect whose moments were all NaN
+    params = _unit_block()
+    with pytest.raises(ValueError, match="s must be finite"):
+        tk.defect_measure_cts(tk.UniformMeasure(1), [s], params)
+
+
 def test_cts_defect_has_no_axes_keyword():
     params = _unit_block()
     with pytest.raises(TypeError):
@@ -292,6 +300,14 @@ def test_numeric_limit_requires_decreasing_schedule():
     nu = tk.nu_from_mu(tk.UniformMeasure(1), params)
     with pytest.raises(ValueError):
         tk.numeric_limit_mu(nu, params, np.array([1]), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("schedule", [(0.1, np.nan), (np.inf, 0.1)])
+def test_numeric_limit_rejects_a_non_finite_schedule(schedule):
+    params = _unit_block()
+    nu = tk.nu_from_mu(tk.UniformMeasure(1), params)
+    with pytest.raises(ValueError, match="s_schedule must be positive, finite"):
+        tk.numeric_limit_mu(nu, params, np.array([1]), schedule)
 
 
 @pytest.mark.parametrize("n", [[0.5], [np.nan], [0, 1]])

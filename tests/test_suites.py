@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,24 @@ def test_config_sizes_that_check_nothing_are_rejected(size, value):
     message = "must be at least" if type(value) is int else "must be an int"
     with pytest.raises(ValueError, match=f"{size} {message}"):
         tk.SuiteConfig(**{size: value})
+
+
+@pytest.mark.parametrize(
+    "check_id, option, value", [("C04", "moment_box", 100000), ("C05", "samples", 10**9)]
+)
+def test_run_checks_refuses_an_oversized_option_before_allocating(
+    planar_uniform_thread, check_id, option, value
+):
+    # each asked numpy for hundreds of GiB and ended in its MemoryError
+    message = f"--{option.replace('_', '-')} {value} needs an array"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            tk.run_checks([check_id], planar_uniform_thread, tk.SuiteConfig(**{option: value}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**25
 
 
 def test_smallest_config_sizes_are_accepted():

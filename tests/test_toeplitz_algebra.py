@@ -194,8 +194,9 @@ def test_state_eval_checks_normalization():
     a = tk.AlgebraElement.from_word(tk.Word(p=(0,), n=(0,), q=(0,), level=1))
     assert abs(tk.state_eval(nu, params, a) - 1.0) < 1e-12
     doubled = tk.MultipliedMeasure(nu, lambda n: 2.0, tag="doubled")
-    with pytest.raises(ValueError):
-        tk.state_eval(doubled, params, a)
+    for bad in (doubled, tk.MultipliedMeasure(nu, lambda n: np.nan, tag="nan")):  # NaN mass too
+        with pytest.raises(ValueError, match="state requires mass 1"):
+            tk.state_eval(bad, params, a)
     # the ungated functional is linear in nu: twice nu gives twice its value
     assert abs(_state_values(doubled, params, _pack([a], 1, 1))[0] - 2.0) < 1e-12
 

@@ -89,6 +89,14 @@ def test_pushforward_dual_rejects_singular_matrix():
         tk.pushforward_dual(mu, np.array([[1, 1], [1, 1]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_pushforward_dual_rejects_a_non_finite_matrix(entry):
+    # E = [[nan]] was cast to int64 (with numpy's warning) and gave a point mass at 0
+    mu = tk.AtomicMeasure(np.array([[0.3]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="square integer matrix"):
+        tk.pushforward_dual(mu, [[entry]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n1=st.integers(min_value=-4, max_value=4),
